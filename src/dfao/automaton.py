@@ -278,24 +278,30 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
     if raw.initial not in index:
         raise UnknownState(f"initial state {raw.initial!r} is not declared")
 
-    n = len(raw.states)
-    table: list[list[int | None]] = [[None] * raw.k for _ in range(n)]
+    # The radix comes from outside, so nothing is sized by it until the
+    # edges, keyed state * k + digit, are known to cover every pair.
+    k = raw.k
+    table: dict[int, int] = {}
     for src, digit, dst in raw.edges:
         if src not in index:
             raise UnknownState(f"edge source {src!r} is not declared")
         if dst not in index:
             raise UnknownState(f"edge target {dst!r} is not declared")
-        if not 0 <= digit < raw.k:
-            raise DigitOutOfRange(f"digit {digit} out of range for k={raw.k}")
-        if table[index[src]][digit] is not None:
+        if not 0 <= digit < k:
+            raise DigitOutOfRange(f"digit {digit} out of range for k={k}")
+        key = index[src] * k + digit
+        if key in table:
             raise DuplicateTransition(f"edge {src} {digit} ... defined twice")
-        table[index[src]][digit] = index[dst]
-    for s in range(n):
-        for d in range(raw.k):
-            if table[s][d] is None:
-                raise MissingTransition(
-                    f"no edge for state {raw.states[s]!r} on digit {d}"
-                )
+        table[key] = index[dst]
+    n = len(raw.states)
+    if len(table) < n * k:
+        gap = next(key for key in range(n * k) if key not in table)
+        s, d = divmod(gap, k)
+        raise MissingTransition(f"no edge for state {raw.states[s]!r} on digit {d}")
+    flat = [0] * (n * k)
+    for key, t in table.items():
+        flat[key] = t
+    rows = [tuple(flat[s * k : (s + 1) * k]) for s in range(n)]
 
     if raw.outputs is None:
         outputs = list(raw.states)
@@ -315,7 +321,6 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
             )
         outputs = [by_state[name] for name in raw.states]
 
-    rows = [tuple(t for t in row if t is not None) for row in table]
     return _prune(raw.k, raw.states, index[raw.initial], rows, outputs)
 
 

@@ -32,11 +32,30 @@ s whose final edge carries a digit y != x; conversely every entry+loop
 concatenation of that shape clashes.  Both halves are shortest-path
 problems, so n is the minimum of entry(s, x) + loop(s, y) over all states
 s and ordered digit pairs x != y, computed from breadth-first distances.
+
+The loop searches are bounded without changing n or the set of states
+that attain it.  States are visited in order of their shortest entry
+e(s), ties by index.  A loop has at least one edge, so once e(s) + 1
+exceeds the best total found so far, neither this state nor any later
+one can match it, and the search stops.  A visited state can only match
+the best total b with a loop of at most b - e(s) edges, whose last edge
+leaves a state at most b - e(s) - 1 edges from s, so its breadth-first
+search stops at that depth.  Every total that does not exceed the running
+best is therefore exact, ties included, and the states whose total is the
+final n are exactly known.
+
+The witness is the lexicographically smallest entry+loop word of length
+n over those states and every split of n.  The smallest word of exact
+length m from a start into each state comes from rank tables: level m
+orders the states reachable in exactly m steps by their smallest word.
+All words of one level have the same length, so a word w + (d,) compares
+as the pair (rank of w, d); level m follows from level m-1 in one pass
+over it in rank order, with a parent pointer per state.  At each split
+only the one entry+loop pair that can win is rebuilt into a word.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -138,17 +157,24 @@ class AnalysisReport:
     intrinsic: Dfao
 
 
-def _bfs_distances(a: Automaton, start: int) -> list[int | None]:
+def _bfs_distances(
+    a: Automaton, start: int, limit: int | None = None
+) -> list[int | None]:
+    """Breadth-first distances from start; None marks a state that is
+    unreachable or, when a limit is given, more than `limit` edges away."""
     dist: list[int | None] = [None] * len(a.states)
     dist[start] = 0
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        base = dist[s]
-        for t in a.transition[s]:
-            if dist[t] is None:
-                dist[t] = base + 1
-                queue.append(t)
+    frontier = [start]
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        reached = []
+        for s in frontier:
+            for t in a.transition[s]:
+                if dist[t] is None:
+                    dist[t] = depth
+                    reached.append(t)
+        frontier = reached
     return dist
 
 
@@ -163,19 +189,28 @@ def _sources_by_label(a: Automaton) -> list[list[list[int]]]:
     return sources
 
 
+def _arrival(dist: list[int | None], feeders: list[int]) -> int | None:
+    """Length of a shortest path whose final edge leaves one of `feeders`,
+    given distances to them; None when `dist` reaches none of them."""
+    ds = [dist[r] for r in feeders if dist[r] is not None]
+    return 1 + min(ds) if ds else None
+
+
 def state_homogeneity(a: Automaton) -> tuple[StateHomogeneity, ...]:
     """Whole-graph in-edge verdict for every state, in state order."""
-    sources = _sources_by_label(a)
-    verdicts = []
-    for s in range(len(a.states)):
-        labels = [dig for dig in range(a.k) if sources[s][dig]]
-        if len(labels) > 1:
-            verdicts.append(StateHomogeneity(False, None))
-        elif labels:
-            verdicts.append(StateHomogeneity(True, labels[0]))
-        else:
-            verdicts.append(StateHomogeneity(True, None))
-    return tuple(verdicts)
+    n = len(a.states)
+    label: list[int | None] = [None] * n
+    mixed = [False] * n
+    for row in a.transition:
+        for dig, t in enumerate(row):
+            if label[t] is None:
+                label[t] = dig
+            elif label[t] != dig:
+                mixed[t] = True
+    return tuple(
+        StateHomogeneity(False, None) if mixed[s] else StateHomogeneity(True, label[s])
+        for s in range(n)
+    )
 
 
 def is_homogeneous_automaton(a: Automaton) -> bool:
@@ -188,52 +223,72 @@ def is_homogeneous_automaton(a: Automaton) -> bool:
     return all(v.homogeneous for v in state_homogeneity(a))
 
 
+def _distance_into(a: Automaton, start: int, s: int, digit: int) -> int | None:
+    a._check_digit(digit)
+    feeders = [r for r, row in enumerate(a.transition) if row[digit] == s]
+    return _arrival(_bfs_distances(a, start), feeders)
+
+
 def entry_distance(a: Automaton, s: int, digit: int) -> int | None:
     """Length of a shortest path from the initial state whose final edge
     enters s carrying `digit`; None when s has no such in-edge."""
-    a._check_digit(digit)
-    dist = _bfs_distances(a, a.initial)
-    best = None
-    for r in range(len(a.states)):
-        if a.transition[r][digit] == s and dist[r] is not None:
-            if best is None or dist[r] < best:
-                best = dist[r]
-    return None if best is None else best + 1
+    return _distance_into(a, a.initial, s, digit)
 
 
 def return_distance(a: Automaton, s: int, digit: int) -> int | None:
     """Length of a shortest loop from s back to s whose final edge carries
     `digit`; None when no in-edge source of that digit is reachable from s."""
-    a._check_digit(digit)
-    dist = _bfs_distances(a, s)
-    best = None
-    for r in range(len(a.states)):
-        if a.transition[r][digit] == s and dist[r] is not None:
-            if best is None or dist[r] < best:
-                best = dist[r]
-    return None if best is None else best + 1
+    return _distance_into(a, s, s, digit)
 
 
-def _exact_length_lexmin_words(
-    a: Automaton, start: int, max_len: int
-) -> list[list[Word | None]]:
-    """table[m][s]: lexicographically smallest length-m word from start to s,
-    or None when s is not reachable in exactly m steps."""
-    n = len(a.states)
-    table: list[list[Word | None]] = [[None] * n for _ in range(max_len + 1)]
-    table[0][start] = ()
-    for m in range(1, max_len + 1):
-        prev = table[m - 1]
-        cur = table[m]
-        for r in range(n):
-            w = prev[r]
-            if w is None:
-                continue
+def _lexmin_levels(
+    a: Automaton, start: int, depth: int
+) -> list[dict[int, tuple[int, int, int]]]:
+    """levels[m][t] = (rank, parent, digit) for each state t reachable from
+    start in exactly m steps, for m up to depth.
+
+    The lexicographically smallest length-m word into t is the smallest
+    length-(m-1) word into `parent` followed by `digit`, and `rank` orders
+    these words among the states of level m.  Walking level m-1 in rank
+    order and each state's digits ascending visits the (rank, digit) keys
+    in increasing order, so the first key to hit t is its minimum and the
+    order of first hits is the rank order of level m: no sorting needed.
+    """
+    levels = [{start: (0, start, -1)}]
+    for _ in range(depth):
+        level: dict[int, tuple[int, int, int]] = {}
+        for r in levels[-1]:  # insertion order is rank order
             for dig, t in enumerate(a.transition[r]):
-                cand = w + (dig,)
-                if cur[t] is None or cand < cur[t]:
-                    cur[t] = cand
-    return table
+                if t not in level:
+                    level[t] = (len(level), r, dig)
+        levels.append(level)
+    return levels
+
+
+def _lexmin_word(levels: list[dict[int, tuple[int, int, int]]], m: int, t: int) -> Word:
+    """The smallest length-m word into t, rebuilt from parent pointers."""
+    word = []
+    for j in range(m, 0, -1):
+        _rank, t, dig = levels[j][t]
+        word.append(dig)
+    return tuple(reversed(word))
+
+
+def _arrivals(
+    levels: list[dict[int, tuple[int, int, int]]], m: int, feeders: list[list[int]]
+) -> list[tuple[int, int, int]]:
+    """For each digit d, the smallest length-m word from the tables' start
+    whose final edge leaves a state of feeders[d], as (rank of its first
+    m-1 digits, d, that state); sorted, which orders the words."""
+    level = levels[m - 1]
+    found = []
+    for dig, rs in enumerate(feeders):
+        reached = [(level[r][0], r) for r in rs if r in level]
+        if reached:
+            rank, r = min(reached)
+            found.append((rank, dig, r))
+    found.sort()
+    return found
 
 
 def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
@@ -246,79 +301,82 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     covers all of them.
     """
     n, k = len(a.states), a.k
-    dist0 = _bfs_distances(a, a.initial)
     sources = _sources_by_label(a)
-
+    dist0 = _bfs_distances(a, a.initial)
     entry: list[list[int | None]] = [[None] * k for _ in range(n)]
-    for s in range(n):
-        for dig in range(k):
-            ds = [dist0[r] for r in sources[s][dig] if dist0[r] is not None]
-            if ds:
-                entry[s][dig] = 1 + min(ds)
-
-    # Loop distances only matter at states with two distinct entering
-    # digits; anything else can never host a clash.
-    loop: list[list[int | None]] = [[None] * k for _ in range(n)]
-    best_total: int | None = None
-    for s in range(n):
-        digs = [dig for dig in range(k) if entry[s][dig] is not None]
-        if len(digs) < 2:
+    for r, row in enumerate(a.transition):
+        if dist0[r] is None:
             continue
-        dist_s = _bfs_distances(a, s)
-        for dig in range(k):
-            ds = [dist_s[r] for r in sources[s][dig] if dist_s[r] is not None]
-            if ds:
-                loop[s][dig] = 1 + min(ds)
-        for d1 in digs:
-            for d2 in range(k):
-                if d2 == d1 or loop[s][d2] is None:
-                    continue
-                total = entry[s][d1] + loop[s][d2]
-                if best_total is None or total < best_total:
-                    best_total = total
+        e = dist0[r] + 1
+        for dig, t in enumerate(row):
+            if entry[t][dig] is None or e < entry[t][dig]:
+                entry[t][dig] = e
+
+    # Only states entered on two distinct digits can host a clash; the
+    # visiting order and both bounds are justified in the module docstring.
+    candidates = sorted(
+        (min(e for e in row if e is not None), s)
+        for s, row in enumerate(entry)
+        if sum(e is not None for e in row) >= 2
+    )
+    best_total: int | None = None
+    totals: dict[int, tuple[int, int]] = {}  # state -> (total, shortest entry)
+    for entry_min, s in candidates:
+        if best_total is not None and entry_min + 1 > best_total:
+            break
+        limit = None if best_total is None else best_total - entry_min - 1
+        dist_s = _bfs_distances(a, s, limit)
+        loop = [_arrival(dist_s, sources[s][dig]) for dig in range(k)]
+        total = min(
+            (
+                e + lp
+                for d1, e in enumerate(entry[s])
+                if e is not None
+                for d2, lp in enumerate(loop)
+                if d2 != d1 and lp is not None
+            ),
+            default=None,
+        )
+        if total is None:
+            continue
+        totals[s] = (total, entry_min)
+        if best_total is None or total < best_total:
+            best_total = total
     if best_total is None:
         return None
 
+    # Loops first: an entry takes at least entry_min edges, which bounds
+    # each loop table, and the shortest loop with a tail bounds the one
+    # entry table shared by all states.
     length = best_total
-    from_initial = _exact_length_lexmin_words(a, a.initial, length - 1)
+    tails = {}
+    for s, (total, entry_min) in totals.items():
+        if total != length:
+            continue
+        from_s = _lexmin_levels(a, s, length - entry_min - 1)
+        for m2 in range(1, length - entry_min + 1):
+            found = _arrivals(from_s, m2, sources[s])
+            if found:
+                tails[s, m2] = (from_s, found)
+    from_initial = _lexmin_levels(a, a.initial, length - min(m2 for _, m2 in tails) - 1)
     best_word: Word | None = None
-    for s in range(n):
-        digs = [dig for dig in range(k) if entry[s][dig] is not None]
-        if len(digs) < 2:
+    for (s, m2), (from_s, found) in tails.items():
+        m1 = length - m2
+        heads = _arrivals(from_initial, m1, sources[s])
+        # The smallest head that a tail on another digit can follow, with
+        # the smallest such tail; only that word is rebuilt.
+        pair = next(((h, t) for h in heads for t in found if t[1] != h[1]), None)
+        if pair is None:
             continue
-        mins = [
-            entry[s][d1] + loop[s][d2]
-            for d1 in digs
-            for d2 in range(k)
-            if d2 != d1 and loop[s][d2] is not None
-        ]
-        if not mins or min(mins) > length:
-            continue
-        from_s = _exact_length_lexmin_words(a, s, length - 1)
-        for m1 in range(1, length):
-            m2 = length - m1
-            for d1 in range(k):
-                heads = [
-                    from_initial[m1 - 1][r] + (d1,)
-                    for r in sources[s][d1]
-                    if from_initial[m1 - 1][r] is not None
-                ]
-                if not heads:
-                    continue
-                head = min(heads)
-                for d2 in range(k):
-                    if d2 == d1:
-                        continue
-                    tails = [
-                        from_s[m2 - 1][r] + (d2,)
-                        for r in sources[s][d2]
-                        if from_s[m2 - 1][r] is not None
-                    ]
-                    if not tails:
-                        continue
-                    cand = head + min(tails)
-                    if best_word is None or cand < best_word:
-                        best_word = cand
+        (_, d1, r1), (_, d2, r2) = pair
+        cand = (
+            _lexmin_word(from_initial, m1 - 1, r1)
+            + (d1,)
+            + _lexmin_word(from_s, m2 - 1, r2)
+            + (d2,)
+        )
+        if best_word is None or cand < best_word:
+            best_word = cand
 
     assert best_word is not None and len(best_word) == length
     run = a.run_path(best_word)

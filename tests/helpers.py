@@ -15,15 +15,16 @@ def random_dfao(
     k: int | None = None,
     max_states: int = 5,
     output_alphabet: tuple[str, ...] = ("0", "1", "2"),
+    min_states: int = 1,
 ) -> Dfao:
     """Uniform random complete machine, pruned to its accessible part.
 
-    k defaults to a coin flip between 2 and 3.  The result has between 1
-    and max_states states, always accessible.
+    k defaults to a coin flip between 2 and 3.  Between min_states and
+    max_states states are drawn; pruning keeps the accessible ones.
     """
     if k is None:
         k = rng.choice((2, 3))
-    n = rng.randint(1, max_states)
+    n = rng.randint(min_states, max_states)
     names = tuple(f"q{i}" for i in range(n))
     edges = tuple(
         (names[s], d, names[rng.randrange(n)]) for s in range(n) for d in range(k)

@@ -166,6 +166,15 @@ def test_validate_rejects(raw, error):
         validate(raw)
 
 
+def test_validate_names_the_first_missing_edge():
+    raw = RawDfao(2, ("A", "B"), "A", (("B", 1, "A"), ("A", 0, "B"), ("A", 1, "A")))
+    with pytest.raises(MissingTransition, match="state 'B' on digit 0$"):
+        validate(raw)
+    huge = RawDfao(10**9, ("A",), "A", (("A", 0, "A"), ("A", 1, "A")))
+    with pytest.raises(MissingTransition, match="state 'A' on digit 2$"):
+        validate(huge)
+
+
 def test_generate_known_sequences():
     tm = thue_morse()
     assert "".join(tm.generate(16)) == "0110100110010110"

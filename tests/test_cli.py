@@ -191,6 +191,27 @@ def test_bad_machine_fails_cleanly(tmp_path, capsys):
     assert "error:" in err and "digit 1" in err
 
 
+def test_huge_radix_fails_cleanly_without_allocating(tmp_path):
+    """A radix of 10**9 must not size anything: the missing edge is
+    reported under a 1 GiB address-space cap, where a table of k slots
+    per state would die with MemoryError."""
+    resource = pytest.importorskip("resource")
+    f = tmp_path / "huge.aut"
+    f.write_text("k 1000000000\nstates A\ninitial A\n")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "dfao.cli", "analyze", str(f)],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: no edge for state 'A' on digit 0\n"
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     capsys.readouterr()

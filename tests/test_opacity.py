@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfao.automaton import make_dfao
 from dfao.corpus import build
@@ -193,16 +195,99 @@ def test_witness_matches_exhaustive_lexmin():
     machines += [random_dfao(rng, max_states=4).automaton for _ in range(60)]
     machines.append(transparent_but_inhomogeneous().automaton)
     for a in machines:
-        expected = exhaustive_shortest_clash(a, 2 * len(a.states) + 2)
+        _assert_witness_is_exhaustive_lexmin(a, shortest_inhomogeneous_path(a), 2 * len(a.states) + 2)
+
+
+def _assert_witness_is_exhaustive_lexmin(a, got, max_len):
+    expected = exhaustive_shortest_clash(a, max_len)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.word, got.collide_state, got.position_a, got.position_b) == expected
+
+
+def test_witness_matches_exhaustive_lexmin_on_larger_machines():
+    """5-7 drawn states, k 2 and 3: enough states for several candidates to
+    tie at the minimal length and for the bounded loop searches to cut
+    off.  A found witness is checked up to its own length (no shorter
+    clash, and the same lexicographically smallest word); a transparent
+    verdict up to 2n+2 where that sweep stays within 10**5 words."""
+    rng = random.Random(23)
+    checked = transparent = 0
+    for _ in range(120):
+        a = random_dfao(rng, k=rng.choice((2, 3)), min_states=5, max_states=7).automaton
         got = shortest_inhomogeneous_path(a)
-        if expected is None:
-            assert got is None
-        else:
-            word, collide, pos_a, pos_b = expected
-            assert got is not None
-            assert got.word == word
-            assert got.collide_state == collide
-            assert (got.position_a, got.position_b) == (pos_a, pos_b)
+        if got is not None:
+            _assert_witness_is_exhaustive_lexmin(a, got, len(got.word))
+            checked += 1
+        elif a.k ** (2 * len(a.states) + 2) <= 10**5:
+            _assert_witness_is_exhaustive_lexmin(a, got, 2 * len(a.states) + 2)
+            transparent += 1
+    assert checked >= 80 and transparent >= 1
+
+
+def test_witness_tie_goes_to_the_smaller_word_not_the_earlier_state():
+    """Two states attain the minimal length; the loop search visits them
+    by (shortest entry, state index), and the lexicographically smallest
+    word clashes at the one visited second."""
+    # Both clash at length 2 with entry 1: P on "10", Q on "01".
+    same_entry = make_dfao(
+        2, {"I": ("Q", "P"), "P": ("P", "I"), "Q": ("I", "Q")}, "I"
+    )
+    # P clashes on "100" (entry 1, loop 2), Q on "001" (entry 2, loop 1).
+    later_entry = make_dfao(
+        2,
+        {"I": ("A", "P"), "P": ("B", "I"), "A": ("Q", "B"),
+         "Q": ("I", "Q"), "B": ("P", "I")},
+        "I",
+    )
+    for d, word in ((same_entry, (0, 1)), (later_entry, (0, 0, 1))):
+        a = d.automaton
+        P, Q = a.index("P"), a.index("Q")
+        assert P < Q
+        for s, d1, d2 in ((P, 1, 0), (Q, 0, 1)):
+            assert entry_distance(a, s, d1) + return_distance(a, s, d2) == len(word)
+        got = shortest_inhomogeneous_path(a)
+        assert got.word == word and got.collide_state == Q
+        _assert_witness_is_exhaustive_lexmin(a, got, len(word))
+
+
+def _cycle_chain(n, k):
+    """Every digit steps c_i -> c_(i+1 mod n); only the last state outputs 1."""
+    return make_dfao(
+        k,
+        {f"c{i}": (f"c{(i + 1) % n}",) * k for i in range(n)},
+        "c0",
+        {f"c{i}": "1" if i == n - 1 else "0" for i in range(n)},
+    )
+
+
+def test_cycle_chain_witness_is_one_then_n_zeros():
+    """The zero-normalized chain is entered on 1 at c1 and returns there
+    only after a full lap of n edges, so the witness is as long as the
+    machine: the lexicographic tables run n levels deep."""
+    for k in (2, 3):
+        for n in range(2, 41):
+            rep = analyze_sequence(_cycle_chain(n, k))
+            assert rep.witness.word == (1,) + (0,) * n, (n, k)
+            assert (rep.witness.position_a, rep.witness.position_b) == (0, n)
+
+
+@st.composite
+def small_automata(draw):
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5 if k == 2 else 3))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                         min_size=n, max_size=n))
+    names = [f"q{i}" for i in range(n)]
+    return make_dfao(k, {names[s]: [names[t] for t in row] for s, row in enumerate(rows)}, "q0").automaton
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_automata())
+def test_witness_equals_exhaustive_shortest_clash(a):
+    _assert_witness_is_exhaustive_lexmin(a, shortest_inhomogeneous_path(a), 2 * len(a.states) + 2)
 
 
 def test_compute_opacity_on_corpus():
