@@ -20,15 +20,8 @@ serializing the same machine twice gives identical bytes.
 
 from __future__ import annotations
 
-from .automaton import Dfao, RawDfao, validate
-from .errors import (
-    AutSyntaxError,
-    BadRadix,
-    DigitOutOfRange,
-    DuplicateState,
-    DuplicateTransition,
-    UnknownState,
-)
+from .automaton import Dfao, LineMap, RawDfao, validate
+from .errors import AutSyntaxError, DuplicateState
 
 
 def _int_token(token: str, what: str, line: int) -> int:
@@ -42,9 +35,10 @@ def parse_raw(text: str) -> RawDfao:
     """Tokenize .aut text into an unchecked description.
 
     Syntax problems (unknown directives, bad arity, duplicate or missing
-    directives, unknown names, digits out of range, duplicate edges) are
-    reported with their line numbers.  Completeness of the transition
-    table and output coverage are left to `validate`.
+    directives, repeated names) are reported with their line numbers.
+    Every other check is left to `validate`; the description carries the
+    line of each directive, so its errors about the radix, unknown names,
+    digits out of range and duplicate edges name their lines too.
     """
     k: int | None = None
     k_line = 0
@@ -111,39 +105,13 @@ def parse_raw(text: str) -> RawDfao:
     if initial is None:
         raise AutSyntaxError("missing initial directive", last_line or None)
 
-    # Re-run the name and range checks here so the errors carry lines.
-    if k < 2:
-        raise BadRadix(f"line {k_line}: radix must be >= 2, got {k}")
-    declared = set(states)
-    if initial not in declared:
-        raise UnknownState(f"initial state {initial!r} is not declared")
-    for name, _token in outputs:
-        if name not in declared:
-            line = output_lines[name]
-            raise UnknownState(f"line {line}: output for undeclared state {name!r}")
-    seen_edges: dict[tuple[str, int], int] = {}
-    for (src, digit, dst), lineno in zip(edges, edge_lines):
-        if src not in declared:
-            raise UnknownState(f"line {lineno}: edge source {src!r} is not declared")
-        if dst not in declared:
-            raise UnknownState(f"line {lineno}: edge target {dst!r} is not declared")
-        if not 0 <= digit < k:
-            raise DigitOutOfRange(
-                f"line {lineno}: digit {digit} out of range for k={k}"
-            )
-        if (src, digit) in seen_edges:
-            raise DuplicateTransition(
-                f"line {lineno}: edge {src} {digit} ... already defined "
-                f"on line {seen_edges[(src, digit)]}"
-            )
-        seen_edges[(src, digit)] = lineno
-
     return RawDfao(
         k,
         states,
         initial,
         tuple(edges),
         tuple(outputs) if outputs else None,
+        LineMap(k_line, tuple(output_lines.values()), tuple(edge_lines)),
     )
 
 

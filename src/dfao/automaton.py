@@ -13,7 +13,7 @@ and are safe to call from multiple threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -245,11 +245,23 @@ class Dfao:
 
 
 @dataclass(frozen=True)
+class LineMap:
+    """Source lines of a raw description, so validation errors can name
+    them: the k directive's line, then one line per output pair and per
+    edge, in the order they appear in the description."""
+
+    k: int
+    outputs: tuple[int, ...]
+    edges: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class RawDfao:
     """Unchecked machine description, e.g. fresh out of the .aut parser.
 
     outputs is either a tuple of (state, token) pairs covering every state,
-    or None, meaning each state outputs its own name.
+    or None, meaning each state outputs its own name.  lines, when given,
+    is where each part came from; it is not part of the description.
     """
 
     k: int
@@ -257,6 +269,12 @@ class RawDfao:
     initial: str
     edges: tuple[tuple[str, int, str], ...]
     outputs: tuple[tuple[str, str], ...] | None = None
+    lines: LineMap | None = field(default=None, compare=False, repr=False)
+
+
+def _at(lines: Sequence[int] | None, i: int) -> str:
+    """'line N: ' for the i-th directive when its source line is known."""
+    return "" if lines is None else f"line {lines[i]}: "
 
 
 def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
@@ -264,10 +282,17 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
 
     Returns the machine together with the names of any pruned states (in
     declaration order) so callers can surface a warning.  State order of
-    the result is the declaration order restricted to survivors.
+    the result is the declaration order restricted to survivors.  When
+    the description carries a line map, errors about the radix, outputs
+    and edges start with the offending line.
     """
+    lines = raw.lines
+    output_lines = edge_lines = None
+    if lines is not None:
+        output_lines, edge_lines = lines.outputs, lines.edges
     if raw.k < 2:
-        raise BadRadix(f"radix must be >= 2, got {raw.k}")
+        where = "" if lines is None else f"line {lines.k}: "
+        raise BadRadix(f"{where}radix must be >= 2, got {raw.k}")
     if not raw.states:
         raise NoStates("a machine needs at least one state")
     index: dict[str, int] = {}
@@ -277,21 +302,34 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
         index[name] = len(index)
     if raw.initial not in index:
         raise UnknownState(f"initial state {raw.initial!r} is not declared")
+    for i, (name, _token) in enumerate(raw.outputs or ()):
+        if name not in index:
+            raise UnknownState(
+                f"{_at(output_lines, i)}output for undeclared state {name!r}"
+            )
 
     # The radix comes from outside, so nothing is sized by it until the
     # edges, keyed state * k + digit, are known to cover every pair.
     k = raw.k
     table: dict[int, int] = {}
-    for src, digit, dst in raw.edges:
+    for i, (src, digit, dst) in enumerate(raw.edges):
         if src not in index:
-            raise UnknownState(f"edge source {src!r} is not declared")
+            raise UnknownState(f"{_at(edge_lines, i)}edge source {src!r} is not declared")
         if dst not in index:
-            raise UnknownState(f"edge target {dst!r} is not declared")
+            raise UnknownState(f"{_at(edge_lines, i)}edge target {dst!r} is not declared")
         if not 0 <= digit < k:
-            raise DigitOutOfRange(f"digit {digit} out of range for k={k}")
+            raise DigitOutOfRange(
+                f"{_at(edge_lines, i)}digit {digit} out of range for k={k}"
+            )
         key = index[src] * k + digit
         if key in table:
-            raise DuplicateTransition(f"edge {src} {digit} ... defined twice")
+            if edge_lines is None:
+                raise DuplicateTransition(f"edge {src} {digit} ... defined twice")
+            j = next(j for j, e in enumerate(raw.edges) if e[:2] == (src, digit))
+            raise DuplicateTransition(
+                f"line {edge_lines[i]}: edge {src} {digit} ... already defined "
+                f"on line {edge_lines[j]}"
+            )
         table[key] = index[dst]
     n = len(raw.states)
     if len(table) < n * k:
@@ -308,8 +346,6 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
     else:
         by_state: dict[str, str] = {}
         for name, token in raw.outputs:
-            if name not in index:
-                raise UnknownState(f"output for undeclared state {name!r}")
             if name in by_state:
                 raise DuplicateState(f"output for state {name!r} given twice")
             by_state[name] = token

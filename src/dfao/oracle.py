@@ -68,7 +68,10 @@ def readout(a: Automaton, word: Iterable[int], assignment: Sequence[int]) -> Wor
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# An entry can hold 10**6 rows of n int16 digits, so the cache is bounded;
+# the oracle runs of the corpus and of perfbench's verify-oracle workload
+# ask for 11 distinct (k, n) between them, which all stay cached.
+@lru_cache(maxsize=16)
 def _assignment_matrix(k: int, n_states: int) -> np.ndarray:
     """All k**n_states relabelings, one per row, lexicographic order."""
     size = k**n_states

@@ -6,8 +6,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from dfao.automaton import Automaton, Dfao, RawDfao, validate
+from hypothesis import strategies as st
+
+from dfao.automaton import Automaton, Dfao, RawDfao, make_dfao, validate
 from dfao.dyadic import ZERO, DyadicDistance, pow2inv
+from dfao.minimize import Partition, _renumber
 
 
 def random_dfao(
@@ -74,6 +77,52 @@ def split_state(rng: random.Random, d: Dfao) -> Dfao:
     )
     dfao, _pruned = validate(RawDfao(a.k, names, names[a.initial], edges, outputs))
     return dfao
+
+
+def cycle_chain(n: int, k: int) -> Dfao:
+    """Every digit steps c_i -> c_(i+1 mod n); only the last state outputs 1."""
+    return make_dfao(
+        k,
+        {f"c{i}": (f"c{(i + 1) % n}",) * k for i in range(n)},
+        "c0",
+        {f"c{i}": "1" if i == n - 1 else "0" for i in range(n)},
+    )
+
+
+@st.composite
+def small_automata(draw):
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 5 if k == 2 else 3))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                         min_size=n, max_size=n))
+    names = [f"q{i}" for i in range(n)]
+    return make_dfao(k, {names[s]: [names[t] for t in row] for s, row in enumerate(rows)}, "q0").automaton
+
+
+@st.composite
+def small_dfaos(draw):
+    """A small_automata machine with outputs drawn from two tokens."""
+    a = draw(small_automata())
+    n = len(a.states)
+    return Dfao(a, tuple(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))))
+
+
+def moore_reference(d: Dfao) -> Partition:
+    """Moore's round-by-round refinement, O(n^2 k): each round recomputes
+    every state's signature (its block and its successors' blocks) and
+    stops when no block splits."""
+    a = d.automaton
+    n = len(a.states)
+    block = _renumber(d.output)
+    while True:
+        signature = [
+            (block[s], *(block[a.transition[s][dig]] for dig in range(a.k)))
+            for s in range(n)
+        ]
+        refined = _renumber(signature)
+        if max(refined) == max(block):
+            return Partition(tuple(refined), max(refined) + 1)
+        block = refined
 
 
 def all_words(k: int, length: int):

@@ -3,11 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from dfao.automaton import are_equivalent, make_dfao
 from dfao.corpus import ENTRIES, build
 from dfao.minimize import intrinsic_automaton, is_minimal, minimize, moore_partition
-from helpers import random_dfao, split_state
+from helpers import (
+    cycle_chain,
+    moore_reference,
+    random_dfao,
+    small_dfaos,
+    split_state,
+)
 
 
 def tm_with_split_a():
@@ -133,3 +140,64 @@ def test_minimize_idempotent_via_intrinsic():
         fm = intrinsic_automaton(d)
         twice = intrinsic_automaton(fm.target)
         assert twice.target == fm.target
+
+
+def inflate(rng, d, n):
+    """A machine of n states, each a copy of one of d's states: a copy
+    keeps its original's output, and each of its edges goes to some copy
+    of the original edge's target, so copies of a state are equivalent."""
+    m = len(d.states)
+    origin = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+    copies = [[] for _ in range(m)]
+    for i, o in enumerate(origin):
+        copies[o].append(f"s{i}")
+    rows = {
+        f"s{i}": [rng.choice(copies[t]) for t in d.automaton.transition[o]]
+        for i, o in enumerate(origin)
+    }
+    return make_dfao(d.k, rows, "s0", {f"s{i}": d.output[o] for i, o in enumerate(origin)})
+
+
+def test_moore_partition_matches_reference_on_random_machines():
+    rng = random.Random(31)
+    for _ in range(400):
+        d = random_dfao(rng, max_states=12)
+        assert moore_partition(d) == moore_reference(d)
+        e = split_state(rng, d)
+        assert moore_partition(e) == moore_reference(e)
+
+
+def test_moore_partition_matches_reference_on_cycle_chains():
+    for k in (2, 3):
+        for n in range(1, 201):
+            d = cycle_chain(n, k).normalize_zero()
+            assert moore_partition(d) == moore_reference(d), (n, k)
+
+
+def test_moore_partition_matches_reference_with_many_equal_states():
+    """Two output tokens over a few distinct behaviours, each copied many
+    times: blocks split over many rounds and mates stay merged."""
+    rng = random.Random(32)
+    for _ in range(150):
+        base = random_dfao(rng, k=rng.choice((2, 3, 4)), max_states=8,
+                           output_alphabet=("0", "1"))
+        d = inflate(rng, base, rng.randint(len(base.states), 120))
+        part = moore_partition(d)
+        assert part == moore_reference(d)
+        assert part.n_blocks <= len(base.states)
+
+
+@given(small_dfaos())
+def test_moore_partition_equals_reference_property(d):
+    assert moore_partition(d) == moore_reference(d)
+
+
+@given(small_dfaos())
+def test_minimize_preserves_equivalence_property(d):
+    assert are_equivalent(d, minimize(d).target)
+
+
+@given(small_dfaos())
+def test_minimize_is_idempotent_property(d):
+    target = minimize(d).target
+    assert minimize(target).target == target

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dfao.automaton import make_dfao
 from dfao.corpus import build
@@ -24,7 +23,14 @@ from dfao.opacity import (
     shortest_inhomogeneous_path,
     state_homogeneity,
 )
-from helpers import all_words, exhaustive_shortest_clash, random_dfao, split_state
+from helpers import (
+    all_words,
+    cycle_chain,
+    exhaustive_shortest_clash,
+    random_dfao,
+    small_automata,
+    split_state,
+)
 
 
 def transparent_but_inhomogeneous():
@@ -253,38 +259,18 @@ def test_witness_tie_goes_to_the_smaller_word_not_the_earlier_state():
         _assert_witness_is_exhaustive_lexmin(a, got, len(word))
 
 
-def _cycle_chain(n, k):
-    """Every digit steps c_i -> c_(i+1 mod n); only the last state outputs 1."""
-    return make_dfao(
-        k,
-        {f"c{i}": (f"c{(i + 1) % n}",) * k for i in range(n)},
-        "c0",
-        {f"c{i}": "1" if i == n - 1 else "0" for i in range(n)},
-    )
-
-
 def test_cycle_chain_witness_is_one_then_n_zeros():
     """The zero-normalized chain is entered on 1 at c1 and returns there
     only after a full lap of n edges, so the witness is as long as the
     machine: the lexicographic tables run n levels deep."""
     for k in (2, 3):
         for n in range(2, 41):
-            rep = analyze_sequence(_cycle_chain(n, k))
+            rep = analyze_sequence(cycle_chain(n, k))
             assert rep.witness.word == (1,) + (0,) * n, (n, k)
             assert (rep.witness.position_a, rep.witness.position_b) == (0, n)
 
 
-@st.composite
-def small_automata(draw):
-    k = draw(st.sampled_from((2, 3)))
-    n = draw(st.integers(1, 5 if k == 2 else 3))
-    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
-                         min_size=n, max_size=n))
-    names = [f"q{i}" for i in range(n)]
-    return make_dfao(k, {names[s]: [names[t] for t in row] for s, row in enumerate(rows)}, "q0").automaton
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(small_automata())
 def test_witness_equals_exhaustive_shortest_clash(a):
     _assert_witness_is_exhaustive_lexmin(a, shortest_inhomogeneous_path(a), 2 * len(a.states) + 2)

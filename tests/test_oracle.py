@@ -10,6 +10,7 @@ from dfao.dyadic import ZERO, pow2inv
 from dfao.errors import InstanceTooLarge
 from dfao.opacity import compute_opacity, longest_homogeneous_prefix
 from dfao.oracle import (
+    _assignment_matrix,
     brute_force_opacity,
     inf_over_outputs,
     oracle_bound,
@@ -155,6 +156,15 @@ def test_word_budget_guard():
         brute_force_opacity(a, 24)  # 2**24 words exceed the 10**7 budget
     with pytest.raises(InstanceTooLarge):
         list(per_word_infs(a, 24))
+
+
+def test_assignment_matrix_cache_is_bounded():
+    cap = _assignment_matrix.cache_info().maxsize
+    # the corpus and the verify-oracle benchmark use 11 distinct (k, n)
+    assert cap is not None and cap >= 11
+    for k in range(2, cap + 4):
+        assert _assignment_matrix(k, 1).tolist() == [[d] for d in range(k)]
+    assert _assignment_matrix.cache_info().currsize == cap
 
 
 def test_brute_force_agrees_with_analysis_on_randoms():
