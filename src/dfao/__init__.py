@@ -48,11 +48,9 @@ from .opacity import (
     StateHomogeneity,
     analyze_sequence,
     compute_opacity,
-    entry_distance,
     is_homogeneous_automaton,
     is_opaque_quick,
     longest_homogeneous_prefix,
-    return_distance,
     shortest_inhomogeneous_path,
     state_homogeneity,
 )
@@ -110,11 +108,9 @@ __all__ = [
     "StateHomogeneity",
     "analyze_sequence",
     "compute_opacity",
-    "entry_distance",
     "is_homogeneous_automaton",
     "is_opaque_quick",
     "longest_homogeneous_prefix",
-    "return_distance",
     "shortest_inhomogeneous_path",
     "state_homogeneity",
     "brute_force_opacity",

@@ -12,6 +12,7 @@ and are safe to call from multiple threads.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,10 +32,12 @@ from .errors import (
 
 Word = tuple[int, ...]
 
+# Tokens must survive the whitespace-delimited text format round trip.
+_TOKEN = re.compile(r"[^\s#]+").fullmatch
+
 
 def _check_token(kind: str, token: str) -> None:
-    # Tokens must survive the whitespace-delimited text format round trip.
-    if not token or "#" in token or any(c.isspace() for c in token):
+    if not _TOKEN(token):
         raise ValueError(
             f"{kind} {token!r} must be non-empty and free of whitespace and '#'"
         )
@@ -147,8 +150,7 @@ class Automaton:
     def is_strictly_accessible(self) -> bool:
         """True when every state can be reached from every other state."""
         n = len(self.states)
-        forward = _reachable(self.transition, self.initial)
-        if len(forward) != n:
+        if len(_bfs(self.transition, self.initial)[0]) != n:
             return False
         # With full forward reachability, strong connectivity reduces to
         # the initial state being reachable from everywhere.
@@ -156,27 +158,33 @@ class Automaton:
         for s, row in enumerate(self.transition):
             for t in row:
                 back[t].append(s)
-        seen = {self.initial}
-        queue = deque(seen)
-        while queue:
-            s = queue.popleft()
-            for r in back[s]:
-                if r not in seen:
-                    seen.add(r)
-                    queue.append(r)
-        return len(seen) == n
+        return len(_bfs(back, self.initial)[0]) == n
 
 
-def _reachable(rows: Sequence[Sequence[int]], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
+def _bfs(
+    rows: Sequence[Sequence[int]], start: int, limit: int | None = None
+) -> tuple[list[int], list[int | None]]:
+    """Breadth-first search from start over the successor lists rows[s].
+
+    Returns the reached states in discovery order, successors taken in
+    row order, and each state's distance from start (None when it is not
+    reached).  With a limit, the search stops expanding at the first state
+    `limit` edges away, so exactly the states within `limit` edges are
+    reached.
+    """
+    dist: list[int | None] = [None] * len(rows)
+    dist[start] = 0
+    order = [start]
+    for s in order:  # grows while iterating; append order is BFS order
+        depth = dist[s]
+        if depth == limit:
+            break
+        depth += 1
         for t in rows[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
+            if dist[t] is None:
+                dist[t] = depth
+                order.append(t)
+    return order, dist
 
 
 @dataclass(frozen=True)
@@ -211,11 +219,22 @@ class Dfao:
 
     def generate(self, n_terms: int) -> tuple[str, ...]:
         """First n_terms of the sequence: term n is the output of the state
-        reached on the base-k digits of n (term 0 reads the initial state)."""
-        a = self.automaton
-        return tuple(
-            self.output[a.step(a.initial, digits_msb(n, a.k))] for n in range(n_terms)
-        )
+        reached on the base-k digits of n (term 0 reads the initial state).
+
+        The digits of n are those of n // k followed by n % k, so
+        state(n) = transition[state(n // k)][n % k]: the row of state(q)
+        holds the states of terms qk .. qk + k - 1, and each term costs O(1)
+        (Allouche and Shallit, Automatic Sequences, 2003, ch. 5).
+        """
+        if n_terms <= 0:
+            return ()
+        rows, initial = self.automaton.transition, self.automaton.initial
+        states = [initial, *rows[initial][1:]]  # term 0 is initial, not its 0-successor
+        q = 1
+        while len(states) < n_terms:
+            states += rows[states[q]]
+            q += 1
+        return tuple(map(self.output.__getitem__, states[:n_terms]))
 
     def normalize_zero(self) -> Dfao:
         """Make digit 0 loop on the initial state, preserving the sequence.
@@ -368,11 +387,11 @@ def _prune(
     outputs: Sequence[str],
 ) -> tuple[Dfao, tuple[str, ...]]:
     """Drop states unreachable from `initial`, keeping declaration order."""
-    reach = _reachable(rows, initial)
-    if len(reach) == len(states):
+    order, dist = _bfs(rows, initial)
+    if len(order) == len(states):
         automaton = Automaton(k, tuple(states), initial, tuple(tuple(r) for r in rows))
         return Dfao(automaton, tuple(outputs)), ()
-    keep = [i for i in range(len(states)) if i in reach]
+    keep = [i for i in range(len(states)) if dist[i] is not None]
     remap = {old: new for new, old in enumerate(keep)}
     automaton = Automaton(
         k,
@@ -380,7 +399,7 @@ def _prune(
         remap[initial],
         tuple(tuple(remap[t] for t in rows[i]) for i in keep),
     )
-    pruned = tuple(states[i] for i in range(len(states)) if i not in reach)
+    pruned = tuple(states[i] for i in range(len(states)) if dist[i] is None)
     return Dfao(automaton, tuple(outputs[i] for i in keep)), pruned
 
 
@@ -438,27 +457,33 @@ def canonicalize(d: Dfao) -> tuple[Dfao, tuple[int, ...]]:
     Returns the relabeled machine and the index map old -> new.  Isomorphic
     machines canonicalize to identical descriptions, whatever their state
     names or listing order, so equality of canonical forms decides
-    isomorphism.
+    isomorphism.  States are named A .. Z, then s26, s27, ...
     """
     a = d.automaton
-    n = len(a.states)
-    order = [a.initial]
-    seen = {a.initial}
-    for s in order:  # grows while iterating; append order is BFS order
-        for dig in range(a.k):
-            t = a.transition[s][dig]
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
+    target, relabel = _canonical(a.k, a.transition, a.initial, d.output)
+    return target, tuple(relabel)
+
+
+def _canonical(
+    k: int,
+    rows: Sequence[Sequence[int]],
+    initial: int,
+    outputs: Sequence[str],
+) -> tuple[Dfao, list[int]]:
+    """The canonical machine of the graph rows[s][digit] with these outputs,
+    and the map from row index to canonical index; every row must be
+    reachable from `initial`."""
+    order, _ = _bfs(rows, initial)
+    n = len(rows)
     if len(order) != n:
         raise UnknownState("canonical form needs every state reachable")
     relabel = [0] * n
     for new, old in enumerate(order):
         relabel[old] = new
     automaton = Automaton(
-        a.k,
+        k,
         tuple(_canonical_name(i) for i in range(n)),
         0,
-        tuple(tuple(relabel[a.transition[old][dig]] for dig in range(a.k)) for old in order),
+        tuple(tuple(relabel[t] for t in rows[old]) for old in order),
     )
-    return Dfao(automaton, tuple(d.output[old] for old in order)), tuple(relabel)
+    return Dfao(automaton, tuple(outputs[old] for old in order)), relabel

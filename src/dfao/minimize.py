@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Hashable, Sequence
 
-from .automaton import Automaton, Dfao, canonicalize
+from .automaton import Dfao, _canonical
 
 
 @dataclass(frozen=True)
@@ -156,29 +156,22 @@ def minimize(d: Dfao) -> FactorMap:
     The target generates the same sequence as the source, has no two
     indistinguishable states, and is the unique smallest such machine up
     to renaming; since it is returned in canonical form, equal targets
-    mean isomorphic minimizations.
+    mean isomorphic minimizations.  It is built in one step from the block
+    graph, where block b steps on each digit to the block of its smallest
+    member's successor, so it is the machine `canonicalize` makes of the
+    quotient.
     """
     part = moore_partition(d)
     a = d.automaton
     rep: dict[int, int] = {}
     for s, b in enumerate(part.block_of):
         rep.setdefault(b, s)
-    m = part.n_blocks
-    quotient = Dfao(
-        Automaton(
-            a.k,
-            tuple(f"b{b}" for b in range(m)),
-            part.block_of[a.initial],
-            tuple(
-                tuple(part.block_of[a.transition[rep[b]][dig]] for dig in range(a.k))
-                for b in range(m)
-            ),
-        ),
-        tuple(d.output[rep[b]] for b in range(m)),
+    reps = [rep[b] for b in range(part.n_blocks)]
+    rows = [tuple(part.block_of[t] for t in a.transition[s]) for s in reps]
+    target, relabel = _canonical(
+        a.k, rows, part.block_of[a.initial], [d.output[s] for s in reps]
     )
-    target, relabel = canonicalize(quotient)
-    assignment = tuple(relabel[part.block_of[s]] for s in range(len(a.states)))
-    return FactorMap(d, target, assignment)
+    return FactorMap(d, target, tuple(relabel[b] for b in part.block_of))
 
 
 def intrinsic_automaton(d: Dfao) -> FactorMap:

@@ -61,7 +61,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .automaton import Automaton, Dfao, Word
+from .automaton import Automaton, Dfao, Word, _bfs
 from .dyadic import ZERO, DyadicDistance, pow2inv
 from .minimize import intrinsic_automaton
 
@@ -157,27 +157,6 @@ class AnalysisReport:
     intrinsic: Dfao
 
 
-def _bfs_distances(
-    a: Automaton, start: int, limit: int | None = None
-) -> list[int | None]:
-    """Breadth-first distances from start; None marks a state that is
-    unreachable or, when a limit is given, more than `limit` edges away."""
-    dist: list[int | None] = [None] * len(a.states)
-    dist[start] = 0
-    frontier = [start]
-    depth = 0
-    while frontier and (limit is None or depth < limit):
-        depth += 1
-        reached = []
-        for s in frontier:
-            for t in a.transition[s]:
-                if dist[t] is None:
-                    dist[t] = depth
-                    reached.append(t)
-        frontier = reached
-    return dist
-
-
 def _sources_by_label(a: Automaton) -> list[list[list[int]]]:
     """sources[s][d] lists the states with an edge into s labeled d."""
     sources: list[list[list[int]]] = [
@@ -221,24 +200,6 @@ def is_homogeneous_automaton(a: Automaton) -> bool:
     loop back to the inhomogeneous state.
     """
     return all(v.homogeneous for v in state_homogeneity(a))
-
-
-def _distance_into(a: Automaton, start: int, s: int, digit: int) -> int | None:
-    a._check_digit(digit)
-    feeders = [r for r, row in enumerate(a.transition) if row[digit] == s]
-    return _arrival(_bfs_distances(a, start), feeders)
-
-
-def entry_distance(a: Automaton, s: int, digit: int) -> int | None:
-    """Length of a shortest path from the initial state whose final edge
-    enters s carrying `digit`; None when s has no such in-edge."""
-    return _distance_into(a, a.initial, s, digit)
-
-
-def return_distance(a: Automaton, s: int, digit: int) -> int | None:
-    """Length of a shortest loop from s back to s whose final edge carries
-    `digit`; None when no in-edge source of that digit is reachable from s."""
-    return _distance_into(a, s, s, digit)
 
 
 def _lexmin_levels(
@@ -302,7 +263,7 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     """
     n, k = len(a.states), a.k
     sources = _sources_by_label(a)
-    dist0 = _bfs_distances(a, a.initial)
+    _, dist0 = _bfs(a.transition, a.initial)
     entry: list[list[int | None]] = [[None] * k for _ in range(n)]
     for r, row in enumerate(a.transition):
         if dist0[r] is None:
@@ -325,7 +286,7 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         if best_total is not None and entry_min + 1 > best_total:
             break
         limit = None if best_total is None else best_total - entry_min - 1
-        dist_s = _bfs_distances(a, s, limit)
+        _, dist_s = _bfs(a.transition, s, limit)
         loop = [_arrival(dist_s, sources[s][dig]) for dig in range(k)]
         total = min(
             (

@@ -8,9 +8,18 @@ import random
 
 from hypothesis import strategies as st
 
-from dfao.automaton import Automaton, Dfao, RawDfao, make_dfao, validate
+from dfao.automaton import (
+    Automaton,
+    Dfao,
+    RawDfao,
+    _bfs,
+    canonicalize,
+    make_dfao,
+    validate,
+)
 from dfao.dyadic import ZERO, DyadicDistance, pow2inv
-from dfao.minimize import Partition, _renumber
+from dfao.minimize import FactorMap, Partition, _renumber, moore_partition
+from dfao.opacity import _arrival
 
 
 def random_dfao(
@@ -123,6 +132,51 @@ def moore_reference(d: Dfao) -> Partition:
         if max(refined) == max(block):
             return Partition(tuple(refined), max(refined) + 1)
         block = refined
+
+
+def minimize_reference(d: Dfao) -> FactorMap:
+    """Minimization in two steps: build the quotient machine with states
+    b0, b1, ... (block b takes its smallest member's row), then
+    canonicalize it."""
+    part = moore_partition(d)
+    a = d.automaton
+    rep: dict[int, int] = {}
+    for s, b in enumerate(part.block_of):
+        rep.setdefault(b, s)
+    m = part.n_blocks
+    quotient = Dfao(
+        Automaton(
+            a.k,
+            tuple(f"b{b}" for b in range(m)),
+            part.block_of[a.initial],
+            tuple(
+                tuple(part.block_of[a.transition[rep[b]][dig]] for dig in range(a.k))
+                for b in range(m)
+            ),
+        ),
+        tuple(d.output[rep[b]] for b in range(m)),
+    )
+    target, relabel = canonicalize(quotient)
+    assignment = tuple(relabel[part.block_of[s]] for s in range(len(a.states)))
+    return FactorMap(d, target, assignment)
+
+
+def _distance_into(a: Automaton, start: int, s: int, digit: int) -> int | None:
+    a._check_digit(digit)
+    feeders = [r for r, row in enumerate(a.transition) if row[digit] == s]
+    return _arrival(_bfs(a.transition, start)[1], feeders)
+
+
+def entry_distance(a: Automaton, s: int, digit: int) -> int | None:
+    """Length of a shortest path from the initial state whose final edge
+    enters s carrying `digit`; None when s has no such in-edge."""
+    return _distance_into(a, a.initial, s, digit)
+
+
+def return_distance(a: Automaton, s: int, digit: int) -> int | None:
+    """Length of a shortest loop from s back to s whose final edge carries
+    `digit`; None when no in-edge source of that digit is reachable from s."""
+    return _distance_into(a, s, s, digit)
 
 
 def all_words(k: int, length: int):

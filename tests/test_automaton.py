@@ -1,20 +1,24 @@
 """Core machine type: construction, validation, runs, equivalence."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dfao.automaton import (
     Automaton,
     Dfao,
     RawDfao,
+    _bfs,
     are_equivalent,
     canonicalize,
     digits_msb,
     make_dfao,
     validate,
 )
-from dfao.corpus import build, hanoi, thue_morse
+from dfao.corpus import ENTRIES, build, hanoi, thue_morse
 from dfao.errors import (
     BadRadix,
     DigitOutOfRange,
@@ -26,7 +30,7 @@ from dfao.errors import (
     RadixMismatch,
     UnknownState,
 )
-from helpers import all_words, random_dfao, split_state
+from helpers import all_words, random_dfao, small_automata, small_dfaos, split_state
 
 
 def test_digits_msb():
@@ -186,6 +190,28 @@ def test_generate_known_sequences():
     assert tm.generate(0) == ()
 
 
+def test_generate_nonpositive_count_is_empty():
+    assert thue_morse().generate(-3) == ()
+    assert build("ternary_digit_sum").generate(0) == ()
+
+
+def _digit_walk_terms(d, n_terms):
+    a = d.automaton
+    return tuple(d.output[a.step(a.initial, digits_msb(n, a.k))] for n in range(n_terms))
+
+
+def test_generate_matches_digit_walk_on_corpus():
+    for ent in ENTRIES:
+        d = build(ent.name)
+        for n_terms in (1, 2, d.k - 1, d.k, d.k + 1, 3000):
+            assert d.generate(n_terms) == _digit_walk_terms(d, n_terms), (ent.name, n_terms)
+
+
+@given(small_dfaos(), st.integers(0, 300))
+def test_generate_matches_digit_walk_property(d, n_terms):
+    assert d.generate(n_terms) == _digit_walk_terms(d, n_terms)
+
+
 def test_normalize_zero_noop_when_looping():
     tm = thue_morse()
     assert tm.normalize_zero() is tm
@@ -335,3 +361,56 @@ def test_dfao_properties():
     assert tm.k == 2
     assert tm.states == ("A", "B")
     assert tm.initial == 0
+
+
+def _deque_bfs(rows, start):
+    """Queue-based breadth-first search: discovery order and distances."""
+    dist = [None] * len(rows)
+    dist[start] = 0
+    order = []
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        order.append(s)
+        for t in rows[s]:
+            if dist[t] is None:
+                dist[t] = dist[s] + 1
+                queue.append(t)
+    return order, dist
+
+
+def _check_bfs(rows):
+    """_bfs from every start equals the queue-based search, and each limit
+    from 0 to len(rows) cuts off exactly the states beyond it."""
+    for start in range(len(rows)):
+        order, dist = _bfs(rows, start)
+        assert (order, dist) == _deque_bfs(rows, start)
+        for limit in range(len(rows) + 1):
+            assert _bfs(rows, start, limit) == (
+                [s for s in order if dist[s] <= limit],
+                [d if d is not None and d <= limit else None for d in dist],
+            )
+
+
+def _backward(rows):
+    back = [[] for _ in rows]
+    for s, row in enumerate(rows):
+        for t in row:
+            back[t].append(s)
+    return back
+
+
+def test_bfs_matches_queue_search_on_seeded_machines():
+    rng = random.Random(41)
+    for _ in range(150):
+        a = random_dfao(rng, k=rng.choice((2, 3, 4)), max_states=14).automaton
+        _check_bfs(a.transition)
+        _check_bfs(_backward(a.transition))  # uneven rows, some empty
+    for ent in ENTRIES:
+        _check_bfs(build(ent.name).automaton.transition)
+
+
+@given(small_automata())
+def test_bfs_matches_queue_search_property(a):
+    _check_bfs(a.transition)
+    _check_bfs(_backward(a.transition))

@@ -10,6 +10,7 @@ from dfao.corpus import ENTRIES, build
 from dfao.minimize import intrinsic_automaton, is_minimal, minimize, moore_partition
 from helpers import (
     cycle_chain,
+    minimize_reference,
     moore_reference,
     random_dfao,
     small_dfaos,
@@ -201,3 +202,30 @@ def test_minimize_preserves_equivalence_property(d):
 def test_minimize_is_idempotent_property(d):
     target = minimize(d).target
     assert minimize(target).target == target
+
+
+def test_minimize_matches_quotient_then_canonicalize():
+    """One-step build = the b0.. quotient machine run through canonicalize,
+    on the seeded machines the tests above draw."""
+    rng = random.Random(5)
+    machines = [random_dfao(rng) for _ in range(60)]
+    rng = random.Random(31)
+    for _ in range(400):
+        d = random_dfao(rng, max_states=12)
+        machines += [d, split_state(rng, d)]
+    machines += [cycle_chain(n, k).normalize_zero() for k in (2, 3) for n in range(1, 60)]
+    rng = random.Random(32)
+    for _ in range(150):
+        base = random_dfao(rng, k=rng.choice((2, 3, 4)), max_states=8,
+                           output_alphabet=("0", "1"))
+        machines.append(inflate(rng, base, rng.randint(len(base.states), 120)))
+    machines += [build(ent.name) for ent in ENTRIES]
+    for d in machines:
+        got, want = minimize(d), minimize_reference(d)
+        assert (got.target, got.assignment) == (want.target, want.assignment)
+
+
+@given(small_dfaos())
+def test_minimize_matches_quotient_then_canonicalize_property(d):
+    got, want = minimize(d), minimize_reference(d)
+    assert (got.target, got.assignment) == (want.target, want.assignment)

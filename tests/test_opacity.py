@@ -15,19 +15,19 @@ from dfao.opacity import (
     Opacity,
     analyze_sequence,
     compute_opacity,
-    entry_distance,
     is_homogeneous_automaton,
     is_opaque_quick,
     longest_homogeneous_prefix,
-    return_distance,
     shortest_inhomogeneous_path,
     state_homogeneity,
 )
 from helpers import (
     all_words,
     cycle_chain,
+    entry_distance,
     exhaustive_shortest_clash,
     random_dfao,
+    return_distance,
     small_automata,
     split_state,
 )
