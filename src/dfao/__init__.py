@@ -59,8 +59,6 @@ from .oracle import (
     inf_over_outputs,
     oracle_bound,
     per_word_infs,
-    prefix_distance,
-    readout,
 )
 
 __version__ = "0.1.0"
@@ -117,7 +115,5 @@ __all__ = [
     "inf_over_outputs",
     "oracle_bound",
     "per_word_infs",
-    "prefix_distance",
-    "readout",
     "__version__",
 ]

@@ -18,14 +18,20 @@ from .automaton import Dfao, are_equivalent, validate
 from .corpus import evaluate_all
 from .dot import to_dot
 from .dyadic import DyadicDistance
-from .errors import DfaoError, InstanceTooLarge
+from .errors import AutSyntaxError, DfaoError, InstanceTooLarge
 from .minimize import intrinsic_automaton
 from .opacity import AnalysisReport, PathWitness, analyze_sequence, shortest_inhomogeneous_path
 from .oracle import brute_force_opacity, oracle_bound
 
 
 def _load(path: str) -> tuple[Dfao, tuple[str, ...]]:
-    dfao, pruned = validate(parse_raw(Path(path).read_text()))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AutSyntaxError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    dfao, pruned = validate(parse_raw(text))
     if pruned:
         print(
             f"warning: pruned unreachable states: {', '.join(pruned)}",
@@ -58,13 +64,11 @@ def _witness_json(witness: PathWitness, intrinsic: Dfao) -> dict:
 
 def _report_json(
     report: AnalysisReport,
-    name: str | None,
+    name: str,
     input_states: int,
     oracle_result: tuple[int, DyadicDistance] | None,
 ) -> dict:
-    obj: dict = {}
-    if name is not None:
-        obj["name"] = name
+    obj: dict = {"name": name}
     obj["k"] = report.k
     obj["states"] = input_states
     obj["strictly_accessible"] = report.strictly_accessible
@@ -307,10 +311,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; argparse looks up sys.stdout and sys.stderr only
+# when it prints, so redirected output still reaches the caller.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:

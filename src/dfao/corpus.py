@@ -382,18 +382,22 @@ class RowResult:
         return self.analysis_ok and self.oracle_ok and self.sequence_ok is not False
 
 
-def evaluate_entry(ent: CorpusEntry, sequence_terms: int = 1000) -> RowResult:
+# Terms `evaluate_entry` compares against the independent evaluator.
+SEQUENCE_TERMS = 1000
+
+
+def evaluate_entry(ent: CorpusEntry) -> RowResult:
     """Run analysis, oracle and sequence comparison for one entry."""
     dfao = ent.builder()
     report = analyze_sequence(dfao)
     bound = oracle_bound(report.intrinsic.automaton)
     value = brute_force_opacity(report.intrinsic.automaton, bound)
     if ent.name in _REFERENCES:
-        seq_ok: bool | None = sequence_checks(ent.name, sequence_terms)
+        seq_ok: bool | None = sequence_checks(ent.name, SEQUENCE_TERMS)
     else:
         seq_ok = None
     return RowResult(ent, report, bound, value, seq_ok)
 
 
-def evaluate_all(sequence_terms: int = 1000) -> tuple[RowResult, ...]:
-    return tuple(evaluate_entry(ent, sequence_terms) for ent in ENTRIES)
+def evaluate_all() -> tuple[RowResult, ...]:
+    return tuple(evaluate_entry(ent) for ent in ENTRIES)

@@ -224,26 +224,42 @@ def exhaustive_shortest_clash(a: Automaton, max_len: int):
     return None
 
 
-def pure_python_inf(a: Automaton, word) -> DyadicDistance:
-    """inf over relabelings of the prefix distance, without numpy.
+def prefix_distance(w, v) -> DyadicDistance:
+    """2**-(first index where the words differ); zero only for equality.
 
-    Independent of dfao.oracle: enumerates assignments with itertools and
-    compares digit by digit.
+    When one word is a proper prefix of the other there is no differing
+    index to point at, so the distance is taken at the shorter length:
+    a strict prefix is close to, but never at distance zero from, its
+    extension.
     """
-    word = tuple(word)
-    if not word:
+    w = tuple(w)
+    v = tuple(v)
+    if w == v:
         return ZERO
-    path = []
+    m = min(len(w), len(v))
+    for i in range(m):
+        if w[i] != v[i]:
+            return pow2inv(i)
+    return pow2inv(m)
+
+
+def readout(a: Automaton, word, assignment) -> tuple[int, ...]:
+    """Digit word produced by a relabeling: assignment[s] is the digit
+    shown when the machine sits in state s, read once per input digit."""
+    out = []
     s = a.initial
-    for dig in word:
-        s = a.transition[s][dig]
-        path.append(s)
-    best = None  # None = not seen; "zero" handled by early return
-    for assignment in itertools.product(range(a.k), repeat=len(a.states)):
-        readback = tuple(assignment[s] for s in path)
-        if readback == word:
-            return ZERO
-        miss = next(i for i in range(len(word)) if readback[i] != word[i])
-        if best is None or miss > best:
-            best = miss
-    return pow2inv(best)
+    for d in word:
+        a._check_digit(d)
+        s = a.transition[s][d]
+        out.append(assignment[s])
+    return tuple(out)
+
+
+def pure_python_inf(a: Automaton, word) -> DyadicDistance:
+    """inf over relabelings of the prefix distance, without numpy: the
+    definition itself, independent of dfao.oracle."""
+    word = tuple(word)
+    return min(
+        prefix_distance(word, readout(a, word, assignment))
+        for assignment in itertools.product(range(a.k), repeat=len(a.states))
+    )

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from dfao.autfile import parse, parse_raw, serialize
 from dfao.automaton import make_dfao, validate
@@ -17,7 +18,7 @@ from dfao.errors import (
     MissingTransition,
     UnknownState,
 )
-from helpers import random_dfao
+from helpers import random_dfao, small_dfaos
 
 TM_TEXT = """\
 # Thue-Morse
@@ -64,6 +65,11 @@ def test_random_round_trips():
     for _ in range(200):
         d = random_dfao(rng)
         assert parse(serialize(d)) == d
+
+
+@given(small_dfaos())
+def test_round_trip_property(d):
+    assert parse(serialize(d)) == d
 
 
 def test_serialize_omits_default_outputs():

@@ -1,0 +1,33 @@
+"""A short run of the benchmark, so the harness cannot rot unnoticed: it
+must finish, judge every op correct (each output matches its recorded
+digest and the independent checks) and report every end-to-end metric.
+No timing is asserted."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_verify_oracle_smoke_run(tmp_path):
+    # A copy, so the run's work files never land in the checkout.
+    ignore = shutil.ignore_patterns(".work", ".trace", "__pycache__")
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "verify-oracle",
+         "--seed", "1", "--seconds", "0.2", "--trace", "0"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["correct"] is True, result.stdout
+    assert report["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m["name"] for m in declared} <= set(report["metrics"])

@@ -9,6 +9,7 @@ import pytest
 
 from dfao.autfile import serialize
 from dfao.automaton import make_dfao
+from dfao import cli
 from dfao.cli import main
 from dfao.corpus import build, names
 
@@ -191,6 +192,19 @@ def test_bad_machine_fails_cleanly(tmp_path, capsys):
     assert "error:" in err and "digit 1" in err
 
 
+def test_non_utf8_file_fails_cleanly(tmp_path):
+    f = tmp_path / "latin1.aut"
+    f.write_bytes(b"k 2\nstates A\xff\ninitial A\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "dfao.cli", "analyze", str(f)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and str(f) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_huge_radix_fails_cleanly_without_allocating(tmp_path):
     """A radix of 10**9 must not size anything: the missing edge is
     reported under a 1 GiB address-space cap, where a table of k slots
@@ -219,6 +233,28 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["generate", aut("thue_morse")]) == 2  # -n is required
     capsys.readouterr()
+
+
+def test_shared_parser_matches_a_fresh_one(monkeypatch, capsys):
+    calls = (
+        ["generate", aut("thue_morse"), "-n", "4", "--sep", ","],
+        ["generate", aut("thue_morse")],  # usage error: -n is required
+        ["generate", aut("thue_morse"), "-n", "4"],
+    )
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    shared = [run(argv) for argv in calls * 2]
+    fresh = []
+    for argv in calls * 2:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0] * 2
+    assert shared[0][1] == "0,1,1,0\n" and shared[2][1] == "0 1 1 0\n"
 
 
 def test_help_exits_zero(capsys):

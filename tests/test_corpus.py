@@ -115,7 +115,7 @@ def test_sequence_checks_raise_without_recurrence():
 
 
 def test_evaluate_entry_bundles_everything():
-    r = evaluate_entry(entry("period_doubling"), sequence_terms=200)
+    r = evaluate_entry(entry("period_doubling"))
     assert r.analysis_ok
     assert r.oracle_ok
     assert r.sequence_ok is True
@@ -129,7 +129,7 @@ def test_evaluate_entry_bundles_everything():
 
 
 def test_evaluate_all_passes():
-    results = evaluate_all(sequence_terms=300)
+    results = evaluate_all()
     assert len(results) == len(ENTRIES)
     assert all(r.passed for r in results)
 

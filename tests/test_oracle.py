@@ -3,11 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from dfao.automaton import make_dfao
 from dfao.corpus import build
 from dfao.dyadic import ZERO, pow2inv
-from dfao.errors import InstanceTooLarge
+from dfao.errors import DigitOutOfRange, InstanceTooLarge
 from dfao.opacity import compute_opacity, longest_homogeneous_prefix
 from dfao.oracle import (
     _assignment_matrix,
@@ -15,10 +16,15 @@ from dfao.oracle import (
     inf_over_outputs,
     oracle_bound,
     per_word_infs,
-    prefix_distance,
-    readout,
 )
-from helpers import all_words, pure_python_inf, random_dfao
+from helpers import (
+    all_words,
+    prefix_distance,
+    pure_python_inf,
+    random_dfao,
+    readout,
+    small_automata,
+)
 
 
 def test_prefix_distance_basics():
@@ -54,6 +60,8 @@ def test_readout():
     assert readout(tm, (1, 0), (7, 9)) == (9, 9)
     assert readout(tm, (), (7, 9)) == ()
     assert readout(tm, (0, 1, 1), (0, 1)) == (0, 1, 0)
+    with pytest.raises(DigitOutOfRange, match=r"^digit 2 out of range for k=2$"):
+        readout(tm, (0, 2), (0, 1))
 
 
 def test_inf_over_outputs_known_values():
@@ -69,6 +77,10 @@ def test_inf_over_outputs_known_values():
     for m in range(7):
         for word in all_words(2, m):
             assert inf_over_outputs(gs, word) == ZERO
+
+    for word in ((2,), (0, 1, -1)):
+        with pytest.raises(DigitOutOfRange, match=rf"^digit {word[-1]} out of range for k=2$"):
+            inf_over_outputs(tm, word)
 
 
 def test_inf_over_outputs_matches_pure_python():
@@ -141,27 +153,38 @@ def test_oracle_bound_values():
 
 
 def test_assignment_budget_guard():
+    """The relabeling budget comes before the word budget, a bad digit and
+    the empty word, with the same message on every call."""
     n = 21  # 2**21 relabelings exceed the 10**6 budget
     rows = {f"q{i}": (f"q{(i + 1) % n}", f"q{(i + 1) % n}") for i in range(n)}
-    d = make_dfao(2, rows, "q0", {f"q{i}": "x" for i in range(n)})
-    with pytest.raises(InstanceTooLarge):
-        brute_force_opacity(d.automaton, 4)
-    with pytest.raises(InstanceTooLarge):
-        inf_over_outputs(d.automaton, (0, 1))
+    a = make_dfao(2, rows, "q0", {f"q{i}": "x" for i in range(n)}).automaton
+    relabelings = r"^2\*\*21 relabelings exceed the budget of 1000000$"
+    for _ in range(2):  # nothing about the refusal is cached
+        for max_len in (4, 24):  # 2**24 words exceed the word budget too
+            with pytest.raises(InstanceTooLarge, match=relabelings):
+                brute_force_opacity(a, max_len)
+            with pytest.raises(InstanceTooLarge, match=relabelings):
+                list(per_word_infs(a, max_len))
+        for word in ((), (0, 1), (0, 2)):
+            with pytest.raises(InstanceTooLarge, match=relabelings):
+                inf_over_outputs(a, word)
 
 
 def test_word_budget_guard():
     a = build("thue_morse").automaton
-    with pytest.raises(InstanceTooLarge):
+    words = r"^2\*\*24 words exceed the budget of 10000000$"
+    with pytest.raises(InstanceTooLarge, match=words):
         brute_force_opacity(a, 24)  # 2**24 words exceed the 10**7 budget
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(InstanceTooLarge, match=words):
         list(per_word_infs(a, 24))
+    # the rule is on k**max_len, whatever length the sweep would stop at
+    assert brute_force_opacity(a, 23) == pow2inv(1)
 
 
 def test_assignment_matrix_cache_is_bounded():
     cap = _assignment_matrix.cache_info().maxsize
-    # the corpus and the verify-oracle benchmark use 11 distinct (k, n)
-    assert cap is not None and cap >= 11
+    # the corpus and the verify-oracle benchmark use 15 distinct (k, n)
+    assert cap is not None and cap >= 15
     for k in range(2, cap + 4):
         assert _assignment_matrix(k, 1).tolist() == [[d] for d in range(k)]
     assert _assignment_matrix.cache_info().currsize == cap
@@ -172,3 +195,8 @@ def test_brute_force_agrees_with_analysis_on_randoms():
     for _ in range(60):
         a = random_dfao(rng).automaton
         assert brute_force_opacity(a, oracle_bound(a)) == compute_opacity(a).as_dyadic()
+
+
+@given(small_automata())
+def test_brute_force_agrees_with_analysis_property(a):
+    assert brute_force_opacity(a, oracle_bound(a)) == compute_opacity(a).as_dyadic()
