@@ -16,8 +16,6 @@ from .automaton import (
     RawDfao,
     Word,
     are_equivalent,
-    canonicalize,
-    digits_msb,
     make_dfao,
     validate,
 )
@@ -38,7 +36,7 @@ from .errors import (
     UnknownCorpusName,
     UnknownState,
 )
-from .minimize import FactorMap, Partition, intrinsic_automaton, is_minimal, minimize, moore_partition
+from .minimize import FactorMap, Partition, intrinsic_automaton, minimize, moore_partition
 from .opacity import (
     MAX_OPACITY,
     AnalysisReport,
@@ -70,8 +68,6 @@ __all__ = [
     "RawDfao",
     "Word",
     "are_equivalent",
-    "canonicalize",
-    "digits_msb",
     "make_dfao",
     "validate",
     "MAX_EXPONENT",
@@ -95,7 +91,6 @@ __all__ = [
     "FactorMap",
     "Partition",
     "intrinsic_automaton",
-    "is_minimal",
     "minimize",
     "moore_partition",
     "MAX_OPACITY",

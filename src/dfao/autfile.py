@@ -38,7 +38,8 @@ def parse_raw(text: str) -> RawDfao:
     directives, repeated names) are reported with their line numbers.
     Every other check is left to `validate`; the description carries the
     line of each directive, so its errors about the radix, unknown names,
-    digits out of range and duplicate edges name their lines too.
+    digits out of range and duplicate edges name their lines too.  One
+    pass with one split per line: O(len(text)).
     """
     k: int | None = None
     k_line = 0
@@ -48,39 +49,29 @@ def parse_raw(text: str) -> RawDfao:
     output_lines: dict[str, int] = {}
     edges: list[tuple[str, int, str]] = []
     edge_lines: list[int] = []
-    last_line = 0
+    digits: dict[str, int] = {}
+    lineno = 0
 
     for lineno, line in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        tokens = line.split("#", 1)[0].split()
+        if "#" in line:
+            line = line[: line.index("#")]
+        tokens = line.split()
         if not tokens:
             continue
-        directive, args = tokens[0], tokens[1:]
-        if directive == "k":
-            if k is not None:
-                raise AutSyntaxError("duplicate k directive", lineno)
-            if len(args) != 1:
-                raise AutSyntaxError("k takes exactly one value", lineno)
-            k = _int_token(args[0], "k", lineno)
-            k_line = lineno
-        elif directive == "states":
-            if states is not None:
-                raise AutSyntaxError("duplicate states directive", lineno)
-            if not args:
-                raise AutSyntaxError("states needs at least one name", lineno)
-            if len(set(args)) != len(args):
-                raise DuplicateState(f"line {lineno}: repeated state name")
-            states = tuple(args)
-        elif directive == "initial":
-            if initial is not None:
-                raise AutSyntaxError("duplicate initial directive", lineno)
-            if len(args) != 1:
-                raise AutSyntaxError("initial takes exactly one state", lineno)
-            initial = args[0]
+        directive = tokens[0]
+        if directive == "edge":  # by far the most common line
+            if len(tokens) != 4:
+                raise AutSyntaxError("edge takes source, digit, target", lineno)
+            _, src, digit_token, dst = tokens
+            digit = digits.get(digit_token)
+            if digit is None:  # a digit token not seen before in this text
+                digit = digits[digit_token] = _int_token(digit_token, "edge digit", lineno)
+            edges.append((src, digit, dst))
+            edge_lines.append(lineno)
         elif directive == "output":
-            if len(args) != 2:
+            if len(tokens) != 3:
                 raise AutSyntaxError("output takes a state and a token", lineno)
-            name, token = args
+            _, name, token = tokens
             if name in output_lines:
                 raise DuplicateState(
                     f"line {lineno}: output for state {name!r} already given "
@@ -88,22 +79,36 @@ def parse_raw(text: str) -> RawDfao:
                 )
             output_lines[name] = lineno
             outputs.append((name, token))
-        elif directive == "edge":
-            if len(args) != 3:
-                raise AutSyntaxError("edge takes source, digit, target", lineno)
-            src, digit_token, dst = args
-            digit = _int_token(digit_token, "edge digit", lineno)
-            edges.append((src, digit, dst))
-            edge_lines.append(lineno)
+        elif directive == "k":
+            if k is not None:
+                raise AutSyntaxError("duplicate k directive", lineno)
+            if len(tokens) != 2:
+                raise AutSyntaxError("k takes exactly one value", lineno)
+            k = _int_token(tokens[1], "k", lineno)
+            k_line = lineno
+        elif directive == "states":
+            if states is not None:
+                raise AutSyntaxError("duplicate states directive", lineno)
+            states = tuple(tokens[1:])
+            if not states:
+                raise AutSyntaxError("states needs at least one name", lineno)
+            if len(set(states)) != len(states):
+                raise DuplicateState(f"line {lineno}: repeated state name")
+        elif directive == "initial":
+            if initial is not None:
+                raise AutSyntaxError("duplicate initial directive", lineno)
+            if len(tokens) != 2:
+                raise AutSyntaxError("initial takes exactly one state", lineno)
+            initial = tokens[1]
         else:
             raise AutSyntaxError(f"unknown directive {directive!r}", lineno)
 
     if k is None:
-        raise AutSyntaxError("missing k directive", last_line or None)
+        raise AutSyntaxError("missing k directive", lineno or None)
     if states is None:
-        raise AutSyntaxError("missing states directive", last_line or None)
+        raise AutSyntaxError("missing states directive", lineno or None)
     if initial is None:
-        raise AutSyntaxError("missing initial directive", last_line or None)
+        raise AutSyntaxError("missing initial directive", lineno or None)
 
     return RawDfao(
         k,

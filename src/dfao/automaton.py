@@ -16,6 +16,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, filterfalse
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -31,6 +32,8 @@ from .errors import (
 )
 
 Word = tuple[int, ...]
+Names = tuple[str, ...]
+Rows = tuple[tuple[int, ...], ...]
 
 # Tokens must survive the whitespace-delimited text format round trip.
 _TOKEN = re.compile(r"[^\s#]+").fullmatch
@@ -41,19 +44,6 @@ def _check_token(kind: str, token: str) -> None:
         raise ValueError(
             f"{kind} {token!r} must be non-empty and free of whitespace and '#'"
         )
-
-
-def digits_msb(n: int, k: int) -> Word:
-    """Base-k digits of n, most significant first.  n = 0 gives ()."""
-    if k < 2:
-        raise BadRadix(f"radix must be >= 2, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    digits = []
-    while n:
-        n, r = divmod(n, k)
-        digits.append(r)
-    return tuple(reversed(digits))
 
 
 @dataclass(frozen=True)
@@ -77,6 +67,7 @@ class Automaton:
     are referred to by index; `states` holds their display names.  Every
     state is expected to be reachable from `initial`; use `validate` to
     build machines from untrusted descriptions, which prunes the rest.
+    Direct construction checks every field, in O(nk) for n states.
     """
 
     k: int
@@ -123,15 +114,6 @@ class Automaton:
     def _check_digit(self, d: int) -> None:
         if not 0 <= d < self.k:
             raise DigitOutOfRange(f"digit {d} out of range for k={self.k}")
-
-    def step(self, s: int, word: Iterable[int]) -> int:
-        """State reached from s after reading `word` digit by digit."""
-        if not 0 <= s < len(self.states):
-            raise UnknownState(f"state index {s} out of range")
-        for d in word:
-            self._check_digit(d)
-            s = self.transition[s][d]
-        return s
 
     def run_path(self, word: Iterable[int]) -> PathRun:
         """Full trace of `word` from the initial state."""
@@ -214,9 +196,6 @@ class Dfao:
     def initial(self) -> int:
         return self.automaton.initial
 
-    def output_of(self, name: str) -> str:
-        return self.output[self.automaton.index(name)]
-
     def generate(self, n_terms: int) -> tuple[str, ...]:
         """First n_terms of the sequence: term n is the output of the state
         reached on the base-k digits of n (term 0 reads the initial state).
@@ -243,24 +222,19 @@ class Dfao:
         absorbs 0.  If it already does, the machine is returned unchanged.
         Otherwise a fresh initial state is prepended that loops on 0 and
         copies the old initial state's other transitions and output, and
-        any state left unreachable is dropped.
+        any state left unreachable is dropped.  O(nk) for n states.
         """
         a = self.automaton
-        if a.transition[a.initial][0] == a.initial:
+        rows, initial = a.transition, a.initial
+        if rows[initial][0] == initial:
             return self
-        fresh = a.states[a.initial] + "'"
+        fresh = a.states[initial] + "'"
         while fresh in a.states:
             fresh += "'"
-        states = (fresh,) + a.states
-        first = (0,) + tuple(a.transition[a.initial][d] + 1 for d in range(1, a.k))
-        rows = [first] + [tuple(t + 1 for t in row) for row in a.transition]
-        outputs = (self.output[a.initial],) + self.output
-        dfao, _ = _prune(a.k, states, 0, rows, outputs)
-        return dfao
-
-    def canonical_form(self) -> Dfao:
-        """Relabeled copy whose description is identical for all isomorphs."""
-        return canonicalize(self)[0]
+        # The fresh state is index n in the search and first in the result.
+        n, outputs = len(rows), (*self.output, self.output[initial])
+        rows = (*rows, (n, *rows[initial][1:]))
+        return _prune(a.k, (*a.states, fresh), n, rows, outputs, initial_first=True)[0]
 
 
 @dataclass(frozen=True)
@@ -303,7 +277,8 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
     declaration order) so callers can surface a warning.  State order of
     the result is the declaration order restricted to survivors.  When
     the description carries a line map, errors about the radix, outputs
-    and edges start with the offending line.
+    and edges start with the offending line.  Untrusted input is checked
+    here, once, in O(nk); machines built from it are not checked again.
     """
     lines = raw.lines
     output_lines = edge_lines = None
@@ -332,15 +307,19 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
     k = raw.k
     table: dict[int, int] = {}
     for i, (src, digit, dst) in enumerate(raw.edges):
-        if src not in index:
-            raise UnknownState(f"{_at(edge_lines, i)}edge source {src!r} is not declared")
-        if dst not in index:
-            raise UnknownState(f"{_at(edge_lines, i)}edge target {dst!r} is not declared")
+        try:
+            s = index[src]
+            t = index[dst]
+        except KeyError:
+            end, name = ("source", src) if src not in index else ("target", dst)
+            raise UnknownState(
+                f"{_at(edge_lines, i)}edge {end} {name!r} is not declared"
+            ) from None
         if not 0 <= digit < k:
             raise DigitOutOfRange(
                 f"{_at(edge_lines, i)}digit {digit} out of range for k={k}"
             )
-        key = index[src] * k + digit
+        key = s * k + digit
         if key in table:
             if edge_lines is None:
                 raise DuplicateTransition(f"edge {src} {digit} ... defined twice")
@@ -349,58 +328,91 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
                 f"line {edge_lines[i]}: edge {src} {digit} ... already defined "
                 f"on line {edge_lines[j]}"
             )
-        table[key] = index[dst]
+        table[key] = t
     n = len(raw.states)
     if len(table) < n * k:
         gap = next(key for key in range(n * k) if key not in table)
         s, d = divmod(gap, k)
         raise MissingTransition(f"no edge for state {raw.states[s]!r} on digit {d}")
-    flat = [0] * (n * k)
-    for key, t in table.items():
-        flat[key] = t
-    rows = [tuple(flat[s * k : (s + 1) * k]) for s in range(n)]
+    # The n * k keys are distinct and below n * k, so they are all of them.
+    rows = tuple(zip(*[map(table.__getitem__, range(n * k))] * k))
 
+    states = tuple(raw.states)
     if raw.outputs is None:
-        outputs = list(raw.states)
+        outputs = states
     else:
-        by_state: dict[str, str] = {}
-        for name, token in raw.outputs:
-            if name in by_state:
-                raise DuplicateState(f"output for state {name!r} given twice")
-            by_state[name] = token
-        missing = [name for name in raw.states if name not in by_state]
-        if missing:
+        by_state = dict(raw.outputs)
+        if len(by_state) < len(raw.outputs):
+            seen = set()
+            for name, _token in raw.outputs:
+                if name in seen:
+                    raise DuplicateState(f"output for state {name!r} given twice")
+                seen.add(name)
+        if len(by_state) < n:  # every named state is declared, checked above
+            missing = [name for name in raw.states if name not in by_state]
             raise MissingOutput(
                 "outputs must cover every state or be omitted entirely; "
                 f"missing: {', '.join(missing)}"
             )
-        outputs = [by_state[name] for name in raw.states]
+        outputs = tuple(map(by_state.__getitem__, raw.states))
 
-    return _prune(raw.k, raw.states, index[raw.initial], rows, outputs)
+    dfao, pruned = _prune(k, states, index[raw.initial], rows, outputs)
+    # Only tokens that survive pruning must fit the text format.
+    for kind, tokens in (("state name", dfao.states), ("output token", dfao.output)):
+        for token in filterfalse(_TOKEN, tokens):
+            _check_token(kind, token)
+    return dfao, pruned
+
+
+def _build(k: int, states: Names, initial: int, transition: Rows, output: Names) -> Dfao:
+    """The machine with these fields, skipping the constructors' checks: only
+    for fields derived from a machine or description checked already.  O(1)."""
+    automaton, dfao = object.__new__(Automaton), object.__new__(Dfao)
+    # Field by field, as a frozen dataclass's own __init__ does: filling
+    # __dict__ in one go would make every later attribute read slower.
+    for obj, name, value in (
+        (automaton, "k", k),
+        (automaton, "states", states),
+        (automaton, "initial", initial),
+        (automaton, "transition", transition),
+        (dfao, "automaton", automaton),
+        (dfao, "output", output),
+    ):
+        object.__setattr__(obj, name, value)
+    return dfao
+
+
+def _relabel_rows(
+    rows: Rows, keep: Sequence[int], k: int, label: Sequence[int] | None = None
+) -> tuple[Sequence[int], Rows]:
+    """label, and the rows of the states `keep` in that order with each
+    successor t replaced by label[t].  label[t] defaults to t's position in
+    `keep`, and then every successor of a kept state must be kept.  O(nk)."""
+    if label is None:
+        label = [0] * len(rows)
+        for new, old in enumerate(keep):
+            label[old] = new
+    flat = map(label.__getitem__, chain.from_iterable(map(rows.__getitem__, keep)))
+    return label, tuple(zip(*[flat] * k))
 
 
 def _prune(
-    k: int,
-    states: Sequence[str],
-    initial: int,
-    rows: Sequence[Sequence[int]],
-    outputs: Sequence[str],
-) -> tuple[Dfao, tuple[str, ...]]:
-    """Drop states unreachable from `initial`, keeping declaration order."""
+    k: int, states: Names, initial: int, rows: Rows, outputs: Names, initial_first: bool = False
+) -> tuple[Dfao, Names]:
+    """Drop states unreachable from `initial`, keeping declaration order,
+    except that `initial` comes first when initial_first is set.  Returns
+    the machine, built unchecked, and the dropped names.  O(nk)."""
     order, dist = _bfs(rows, initial)
-    if len(order) == len(states):
-        automaton = Automaton(k, tuple(states), initial, tuple(tuple(r) for r in rows))
-        return Dfao(automaton, tuple(outputs)), ()
-    keep = [i for i in range(len(states)) if dist[i] is not None]
-    remap = {old: new for new, old in enumerate(keep)}
-    automaton = Automaton(
-        k,
-        tuple(states[i] for i in keep),
-        remap[initial],
-        tuple(tuple(remap[t] for t in rows[i]) for i in keep),
-    )
-    pruned = tuple(states[i] for i in range(len(states)) if dist[i] is None)
-    return Dfao(automaton, tuple(outputs[i] for i in keep)), pruned
+    if len(order) == len(rows) and not initial_first:
+        return _build(k, states, initial, rows, outputs), ()
+    keep = [i for i, depth in enumerate(dist) if depth is not None]
+    if initial_first:
+        keep.remove(initial)
+        keep.insert(0, initial)
+    remap, kept_rows = _relabel_rows(rows, keep, k)
+    kept = tuple(map(states.__getitem__, keep))
+    dfao = _build(k, kept, remap[initial], kept_rows, tuple(map(outputs.__getitem__, keep)))
+    return dfao, tuple(states[i] for i, depth in enumerate(dist) if depth is None)
 
 
 def make_dfao(
@@ -447,21 +459,7 @@ def are_equivalent(d1: Dfao, d2: Dfao) -> bool:
     return True
 
 
-def _canonical_name(i: int) -> str:
-    return chr(ord("A") + i) if i < 26 else f"s{i}"
-
-
-def canonicalize(d: Dfao) -> tuple[Dfao, tuple[int, ...]]:
-    """Relabel states in breadth-first discovery order, digits ascending.
-
-    Returns the relabeled machine and the index map old -> new.  Isomorphic
-    machines canonicalize to identical descriptions, whatever their state
-    names or listing order, so equality of canonical forms decides
-    isomorphism.  States are named A .. Z, then s26, s27, ...
-    """
-    a = d.automaton
-    target, relabel = _canonical(a.k, a.transition, a.initial, d.output)
-    return target, tuple(relabel)
+_LETTERS = tuple(chr(c) for c in range(ord("A"), ord("Z") + 1))
 
 
 def _canonical(
@@ -472,18 +470,18 @@ def _canonical(
 ) -> tuple[Dfao, list[int]]:
     """The canonical machine of the graph rows[s][digit] with these outputs,
     and the map from row index to canonical index; every row must be
-    reachable from `initial`."""
+    reachable from `initial`.
+
+    States are relabeled in breadth-first discovery order, digits
+    ascending, and named A .. Z, then s26, s27, ...  Isomorphic machines
+    get identical descriptions, whatever their state names or listing
+    order.  The machine is built unchecked.  O(nk) for n states.
+    """
     order, _ = _bfs(rows, initial)
     n = len(rows)
     if len(order) != n:
         raise UnknownState("canonical form needs every state reachable")
-    relabel = [0] * n
-    for new, old in enumerate(order):
-        relabel[old] = new
-    automaton = Automaton(
-        k,
-        tuple(_canonical_name(i) for i in range(n)),
-        0,
-        tuple(tuple(relabel[t] for t in rows[old]) for old in order),
-    )
-    return Dfao(automaton, tuple(outputs[old] for old in order)), relabel
+    relabel, canonical_rows = _relabel_rows(rows, order, k)
+    names = _LETTERS[:n] + tuple(f"s{i}" for i in range(26, n))
+    target = _build(k, names, 0, canonical_rows, tuple(map(outputs.__getitem__, order)))
+    return target, relabel

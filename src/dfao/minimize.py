@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Hashable, Sequence
 
-from .automaton import Dfao, _canonical
+from .automaton import Dfao, _canonical, _relabel_rows
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,6 @@ def moore_partition(d: Dfao) -> Partition:
     return Partition(tuple(_renumber(block_of)), n_blocks)
 
 
-def is_minimal(d: Dfao) -> bool:
-    """True when no two states are indistinguishable."""
-    return moore_partition(d).n_blocks == len(d.states)
-
-
 def minimize(d: Dfao) -> FactorMap:
     """Quotient by indistinguishability, relabeled canonically.
 
@@ -158,20 +153,21 @@ def minimize(d: Dfao) -> FactorMap:
     to renaming; since it is returned in canonical form, equal targets
     mean isomorphic minimizations.  It is built in one step from the block
     graph, where block b steps on each digit to the block of its smallest
-    member's successor, so it is the machine `canonicalize` makes of the
-    quotient.
+    member's successor, so it is the canonical form of the quotient.
+    Besides the refinement, this costs O(nk) for n states.
     """
     part = moore_partition(d)
     a = d.automaton
-    rep: dict[int, int] = {}
-    for s, b in enumerate(part.block_of):
-        rep.setdefault(b, s)
-    reps = [rep[b] for b in range(part.n_blocks)]
-    rows = [tuple(part.block_of[t] for t in a.transition[s]) for s in reps]
+    block_of = part.block_of
+    reps: list[int] = []  # each block's smallest member, in block order
+    for s, b in enumerate(block_of):
+        if b == len(reps):
+            reps.append(s)
+    _, rows = _relabel_rows(a.transition, reps, a.k, block_of)
     target, relabel = _canonical(
-        a.k, rows, part.block_of[a.initial], [d.output[s] for s in reps]
+        a.k, rows, block_of[a.initial], tuple(map(d.output.__getitem__, reps))
     )
-    return FactorMap(d, target, tuple(relabel[b] for b in part.block_of))
+    return FactorMap(d, target, tuple(map(relabel.__getitem__, block_of)))
 
 
 def intrinsic_automaton(d: Dfao) -> FactorMap:

@@ -260,6 +260,11 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     concatenations described in the module docstring, so scanning every
     split of the minimal length over exact-length lexicographic tables
     covers all of them.
+
+    Cost: one depth-bounded breadth-first search, O(nk), per candidate
+    state.  That is O(n^2 k) on cycle chains: every state there is entered
+    on every digit and its shortest loop is the whole cycle, so every
+    state is a candidate and no bound cuts its search short.
     """
     n, k = len(a.states), a.k
     sources = _sources_by_label(a)

@@ -12,14 +12,66 @@ from dfao.automaton import (
     Automaton,
     Dfao,
     RawDfao,
+    Word,
     _bfs,
-    canonicalize,
+    _canonical,
     make_dfao,
     validate,
 )
 from dfao.dyadic import ZERO, DyadicDistance, pow2inv
+from dfao.errors import BadRadix, UnknownState
 from dfao.minimize import FactorMap, Partition, _renumber, moore_partition
 from dfao.opacity import _arrival
+
+
+def digits_msb(n: int, k: int) -> Word:
+    """Base-k digits of n, most significant first.  n = 0 gives ()."""
+    if k < 2:
+        raise BadRadix(f"radix must be >= 2, got {k}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    digits = []
+    while n:
+        n, r = divmod(n, k)
+        digits.append(r)
+    return tuple(reversed(digits))
+
+
+def step(a: Automaton, s: int, word) -> int:
+    """State reached from s after reading `word` digit by digit."""
+    if not 0 <= s < len(a.states):
+        raise UnknownState(f"state index {s} out of range")
+    for d in word:
+        a._check_digit(d)
+        s = a.transition[s][d]
+    return s
+
+
+def output_of(d: Dfao, name: str) -> str:
+    return d.output[d.automaton.index(name)]
+
+
+def canonicalize(d: Dfao) -> tuple[Dfao, tuple[int, ...]]:
+    """Relabel states in breadth-first discovery order, digits ascending.
+
+    Returns the relabeled machine and the index map old -> new.  Isomorphic
+    machines canonicalize to identical descriptions, whatever their state
+    names or listing order, so equality of canonical forms decides
+    isomorphism.  States are named A .. Z, then s26, s27, ...
+    """
+    a = d.automaton
+    target, relabel = _canonical(a.k, a.transition, a.initial, d.output)
+    return target, tuple(relabel)
+
+
+def canonical_form(d: Dfao) -> Dfao:
+    """Relabeled copy whose description is identical for all isomorphs."""
+    return canonicalize(d)[0]
+
+
+def is_minimal(d: Dfao) -> bool:
+    """True when no two states are indistinguishable."""
+    return moore_partition(d).n_blocks == len(d.states)
 
 
 def random_dfao(
@@ -86,6 +138,63 @@ def split_state(rng: random.Random, d: Dfao) -> Dfao:
     )
     dfao, _pruned = validate(RawDfao(a.k, names, names[a.initial], edges, outputs))
     return dfao
+
+
+def unpruned_aut_text(rng: random.Random, k: int, n: int) -> str:
+    """.aut text of a uniform random machine on n states, before pruning:
+    states are listed in a shuffled order, so some are usually unreachable
+    and the initial state need not be first, and outputs are given or not."""
+    names = [f"q{i}" for i in range(n)]
+    rng.shuffle(names)
+    lines = [f"k {k}", "states " + " ".join(names), f"initial {names[rng.randrange(n)]}"]
+    if rng.random() < 0.5:
+        lines += [f"output {name} {rng.choice('01')}" for name in names]
+    lines += [f"edge {name} {d} {rng.choice(names)}" for name in names for d in range(k)]
+    return "\n".join(lines) + "\n"
+
+
+_JUNK_TOKENS = (
+    "", "x", "-1", "0", "1", "2", "99", "1.5", "#", "A", "0x1", "\u0661", "9" * 40, "edge", "k",
+)
+_JUNK_LINES = (
+    "foo bar", "edge", "k", "k 1", "states", "initial", "output A", "# note", "", "   ", "edge A 0",
+)
+
+
+def malformed_aut_text(rng: random.Random, text: str) -> str:
+    """Damage .aut text by one to three random edits: drop, repeat, swap or
+    add lines, drop, add or replace tokens, insert a '#', or cut the text
+    short.  The result may or may not still be a valid description."""
+    lines = text.splitlines()
+    pool = sorted(set(text.split())) + list(_JUNK_TOKENS)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines)) if lines else 0
+        edit = rng.choice((0, 1, 1, 2, 2, 3, 4, 5, 6, 6, 6, 6, 7))
+        if not lines or edit == 0:
+            lines.insert(i, rng.choice(_JUNK_LINES))
+        elif edit == 1:
+            del lines[i]
+        elif edit == 2:
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        elif edit == 3:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split()
+            t = rng.randrange(len(tokens) + 1)
+            if edit == 4 and tokens:
+                del tokens[min(t, len(tokens) - 1)]
+            elif edit == 5:
+                tokens.insert(t, rng.choice(pool))
+            elif edit == 6 and tokens:
+                tokens[min(t, len(tokens) - 1)] = rng.choice(pool)
+            else:
+                line = lines[i]
+                cut = rng.randrange(len(line) + 1)
+                tokens = [line[:cut] + "#" + line[cut:]]
+            lines[i] = " ".join(tokens)
+    out = "\n".join(lines) + "\n"
+    return out[: rng.randrange(len(out) + 1)] if rng.random() < 0.1 else out
 
 
 def cycle_chain(n: int, k: int) -> Dfao:

@@ -11,6 +11,7 @@ from dfao.corpus import ENTRIES, build
 from dfao.errors import (
     AutSyntaxError,
     BadRadix,
+    DfaoError,
     DigitOutOfRange,
     DuplicateState,
     DuplicateTransition,
@@ -18,7 +19,8 @@ from dfao.errors import (
     MissingTransition,
     UnknownState,
 )
-from helpers import random_dfao, small_dfaos
+from dfao.minimize import intrinsic_automaton
+from helpers import malformed_aut_text, random_dfao, small_dfaos, unpruned_aut_text
 
 TM_TEXT = """\
 # Thue-Morse
@@ -180,3 +182,25 @@ def test_autsyntaxerror_records_line():
     assert err.line == 12
     assert str(err) == "line 12: boom"
     assert str(AutSyntaxError("boom")) == "boom"
+
+
+def test_malformed_text_raises_only_dfao_errors():
+    """Damaged descriptions parse or fail with a DfaoError, never with
+    another exception."""
+    rng = random.Random(67)
+    corpus = [serialize(build(ent.name)) for ent in ENTRIES]
+    outcomes = set()
+    for _ in range(400):
+        if rng.random() < 0.3:
+            text = rng.choice(corpus)
+        else:
+            text = unpruned_aut_text(rng, rng.choice((2, 3)), rng.randint(1, 6))
+        text = malformed_aut_text(rng, text)
+        try:
+            dfao, _pruned = validate(parse_raw(text))
+        except DfaoError as exc:
+            outcomes.add(type(exc))
+        else:
+            intrinsic_automaton(dfao)
+            outcomes.add(None)
+    assert None in outcomes and len(outcomes) >= 6, outcomes

@@ -13,11 +13,10 @@ from dfao.automaton import (
     RawDfao,
     _bfs,
     are_equivalent,
-    canonicalize,
-    digits_msb,
     make_dfao,
     validate,
 )
+from dfao.autfile import parse_raw
 from dfao.corpus import ENTRIES, build, hanoi, thue_morse
 from dfao.errors import (
     BadRadix,
@@ -30,7 +29,20 @@ from dfao.errors import (
     RadixMismatch,
     UnknownState,
 )
-from helpers import all_words, random_dfao, small_automata, small_dfaos, split_state
+from dfao.minimize import intrinsic_automaton, minimize
+from helpers import (
+    all_words,
+    canonical_form,
+    canonicalize,
+    digits_msb,
+    output_of,
+    random_dfao,
+    small_automata,
+    small_dfaos,
+    split_state,
+    step,
+    unpruned_aut_text,
+)
 
 
 def test_digits_msb():
@@ -77,8 +89,8 @@ def test_output_validation():
 def test_step_and_run_path():
     bs = build("baum_sweet")
     a = bs.automaton
-    assert a.step(a.initial, (1, 0, 0)) == a.index("B")
-    assert a.step(a.index("D"), (0, 1, 0, 1)) == a.index("D")
+    assert step(a, a.initial, (1, 0, 0)) == a.index("B")
+    assert step(a, a.index("D"), (0, 1, 0, 1)) == a.index("D")
 
     tern = build("ternary_digit_sum")
     run = tern.automaton.run_path((1, 0))
@@ -88,15 +100,15 @@ def test_step_and_run_path():
     assert run.word == (1, 0)
 
     with pytest.raises(DigitOutOfRange):
-        a.step(a.initial, (2,))
+        step(a, a.initial, (2,))
     with pytest.raises(UnknownState):
-        a.step(99, (0,))
+        step(a, 99, (0,))
 
 
 def test_index_lookup():
     tm = thue_morse()
     assert tm.automaton.index("B") == 1
-    assert tm.output_of("B") == "1"
+    assert output_of(tm, "B") == "1"
     with pytest.raises(UnknownState):
         tm.automaton.index("Z")
 
@@ -170,6 +182,74 @@ def test_validate_rejects(raw, error):
         validate(raw)
 
 
+_UNFIT = "must be non-empty and free of whitespace and '#'"
+
+
+@pytest.mark.parametrize(
+    "name, initial, message",
+    [
+        ("Z Z", "Z Z", f"state name 'Z Z' {_UNFIT}"),  # names come before outputs
+        ("Z", "Z", f"output token 'x#' {_UNFIT}"),
+        ("Z Z", "A", None),  # Z Z is unreachable from A, so it is pruned
+        ("Z", "A", None),
+    ],
+)
+def test_validate_checks_tokens_of_surviving_states_only(name, initial, message):
+    edges = (("A", 0, "A"), ("A", 1, "A"), (name, 0, "A"), (name, 1, "A"))
+    raw = RawDfao(2, ("A", name), initial, edges, (("A", "0"), (name, "x#")))
+    if message is None:
+        dfao, pruned = validate(raw)
+        assert pruned == (name,)
+        assert dfao.states == ("A",) and dfao.output == ("0",)
+    else:
+        with pytest.raises(ValueError) as info:
+            validate(raw)
+        assert str(info.value) == message
+
+
+def test_validate_checks_default_outputs_as_names():
+    raw = RawDfao(2, ("",), "", (("", 0, ""), ("", 1, "")))
+    with pytest.raises(ValueError) as info:
+        validate(raw)
+    assert str(info.value) == f"state name '' {_UNFIT}"
+
+
+def _rebuilt(d):
+    """d through the checking public constructors, from fresh tuples."""
+    a = d.automaton
+    return Dfao(
+        Automaton(a.k, tuple(a.states), a.initial, tuple(map(tuple, a.transition))),
+        tuple(d.output),
+    )
+
+
+def _check_built_machines(d):
+    """Every machine validate, normalize_zero, minimize and
+    intrinsic_automaton return passes the public checks unchanged."""
+    nz = d.normalize_zero()
+    fm, im = minimize(d), intrinsic_automaton(d)
+    for m in (d, nz, fm.source, fm.target, im.source, im.target):
+        assert _rebuilt(m) == m
+
+
+def test_unchecked_builds_pass_the_public_checks():
+    rng = random.Random(53)
+    nonzero = pruned = 0
+    for _ in range(120):
+        k, n = rng.choice((2, 3, 4)), rng.randint(1, 12)
+        d, dropped = validate(parse_raw(unpruned_aut_text(rng, k, n)))
+        nonzero += d.automaton.transition[d.initial][0] != d.initial
+        pruned += bool(dropped)
+        _check_built_machines(d)
+        _check_built_machines(split_state(rng, d))
+    assert nonzero and pruned  # both cases were exercised
+
+
+@given(small_dfaos())
+def test_unchecked_builds_pass_the_public_checks_property(d):
+    _check_built_machines(d)
+
+
 def test_validate_names_the_first_missing_edge():
     raw = RawDfao(2, ("A", "B"), "A", (("B", 1, "A"), ("A", 0, "B"), ("A", 1, "A")))
     with pytest.raises(MissingTransition, match="state 'B' on digit 0$"):
@@ -197,7 +277,7 @@ def test_generate_nonpositive_count_is_empty():
 
 def _digit_walk_terms(d, n_terms):
     a = d.automaton
-    return tuple(d.output[a.step(a.initial, digits_msb(n, a.k))] for n in range(n_terms))
+    return tuple(d.output[step(a, a.initial, digits_msb(n, a.k))] for n in range(n_terms))
 
 
 def test_generate_matches_digit_walk_on_corpus():
@@ -288,7 +368,7 @@ def test_are_equivalent_matches_exhaustive_word_comparison():
 
 
 def _readout(d, word):
-    return d.output[d.automaton.step(d.initial, word)]
+    return d.output[step(d.automaton, d.initial, word)]
 
 
 def test_equivalence_implies_sequence_equality_but_not_conversely():
@@ -323,9 +403,9 @@ def test_canonicalize_is_isomorphism_invariant():
         "A",
         {"A": "1", "B": "1", "C": "-1", "D": "-1"},
     )
-    assert perm.canonical_form() == gs.canonical_form()
-    assert gs.canonical_form() == gs  # already in discovery order
-    assert gs.canonical_form().canonical_form() == gs.canonical_form()
+    assert canonical_form(perm) == canonical_form(gs)
+    assert canonical_form(gs) == gs  # already in discovery order
+    assert canonical_form(canonical_form(gs)) == canonical_form(gs)
 
 
 def test_canonicalize_relabel_map():
@@ -346,7 +426,7 @@ def test_canonical_names_beyond_z():
     n = 30
     rows = {f"n{i}": (f"n{min(i + 1, n - 1)}", f"n{min(i + 1, n - 1)}") for i in range(n)}
     d = make_dfao(2, rows, "n0", {f"n{i}": "x" for i in range(n)})
-    canon = d.canonical_form()
+    canon = canonical_form(d)
     assert canon.states[:3] == ("A", "B", "C")
     assert canon.states[-4:] == ("s26", "s27", "s28", "s29")
 

@@ -7,9 +7,11 @@ from hypothesis import given
 
 from dfao.automaton import are_equivalent, make_dfao
 from dfao.corpus import ENTRIES, build
-from dfao.minimize import intrinsic_automaton, is_minimal, minimize, moore_partition
+from dfao.minimize import intrinsic_automaton, minimize, moore_partition
 from helpers import (
+    canonical_form,
     cycle_chain,
+    is_minimal,
     minimize_reference,
     moore_reference,
     random_dfao,
@@ -111,8 +113,8 @@ def test_intrinsic_fixed_points_on_corpus():
         d = build(ent.name)
         fm = intrinsic_automaton(d)
         assert len(fm.target.states) == ent.states, ent.name
-        assert are_equivalent(fm.target, d.canonical_form()), ent.name
-        assert fm.target == d.canonical_form(), ent.name
+        assert are_equivalent(fm.target, canonical_form(d)), ent.name
+        assert fm.target == canonical_form(d), ent.name
 
 
 def test_intrinsic_normalizes_before_minimizing():

@@ -30,6 +30,7 @@ from helpers import (
     return_distance,
     small_automata,
     split_state,
+    step,
 )
 
 
@@ -148,7 +149,7 @@ def _shortest_word_into(a, start, target, digit, bound):
         for word in all_words(a.k, m):
             if word[-1] != digit:
                 continue
-            if a.step(start, word) == target:
+            if step(a, start, word) == target:
                 return m
     return None
 
