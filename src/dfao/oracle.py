@@ -6,12 +6,33 @@ bound.  A word's prefix distance to its readback is 2**-i for the first
 position i where the readback misses the word, and zero when it never
 misses; a readback is as long as its word, so no other case arises.  No
 graph analysis is used, so these numbers are a fair, independent check
-for the structural algorithms in `dfao.opacity`.  The enumeration is
-vectorized with numpy for speed but remains a plain enumeration.
+for the structural algorithms in `dfao.opacity`.
+
+The enumeration is bit-sliced over relabelings and shares each word's
+work with its prefix.  Relabelings are numbered in lexicographic order
+and held as bits of uint64 words, 64 to a word: bit r of the bitset
+`masks[:, s, d]` is set when relabeling r shows digit d at state s.  Each
+word w carries its end state and its alive set, the relabelings that read
+w back perfectly.  The readbacks of w and of its child w.d agree on w, so
+the child's alive set is alive(w) & masks[:, delta(end, d), d]: one AND
+settles the last position of 64 (word, relabeling) cells.  A word's floor
+index h, the latest first miss over relabelings (len(w) when some
+relabeling reads w back perfectly), follows from its prefix's:
+h(w.d) = len(w) + 1 when alive(w.d) is non-empty, else h(w).  A
+relabeling perfect on w misses w.d at position len(w), which is then
+h(w), and every other relabeling keeps the first miss it had on w.  So a
+length m costs O(k^m * ceil(k^n / 64)) word operations, where reading
+every relabeling back over all m positions cost O(k^m * k^n * m).
+
+This is still a plain enumeration.  Every word of every length is
+extended and every (word, relabeling) cell is decided by its own bit; no
+two words are merged, not even when they share an end state and an alive
+set, and nothing is computed about which digits enter which state.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -24,8 +45,10 @@ from .errors import InstanceTooLarge
 # Budget guards: relabelings per machine and words per sweep.
 ASSIGNMENT_LIMIT = 10**6
 WORD_LIMIT = 10**7
-
-_WORD_CHUNK = 2048
+# Bytes of the per-(k, n) mask table and of one length's alive table,
+# k**m rows of ceil(k**n / 64) uint64 words; a sweep refuses the first
+# length whose table would not fit.
+_TABLE_LIMIT = 64 * 2**20
 
 
 def oracle_bound(a: Automaton) -> int:
@@ -38,105 +61,127 @@ def oracle_bound(a: Automaton) -> int:
     return 2 * len(a.states) + 2
 
 
-# An entry can hold 10**6 rows of n int16 digits, so the cache is bounded;
-# the oracle runs of the corpus and of perfbench's verify-oracle workload
-# ask for 15 distinct (k, n) between them, the word-refused ones included,
-# which all stay cached.
-@lru_cache(maxsize=16)
-def _assignment_matrix(k: int, n_states: int) -> np.ndarray:
-    """All k**n_states relabelings, one per row, lexicographic order.
-
-    This is the relabeling budget's only check, and every oracle entry
-    point fetches the matrix first, so an instance over both budgets is
-    refused for its relabelings.  `lru_cache` keeps no exceptions, so the
-    check runs on every over-budget call.
-    """
-    size = k**n_states
-    if size > ASSIGNMENT_LIMIT:
+def _check_relabelings(k: int, n_states: int) -> None:
+    """The relabeling budget.  Every entry point checks it before anything
+    else, so an instance over several budgets is refused for this one."""
+    if k**n_states > ASSIGNMENT_LIMIT:
         raise InstanceTooLarge(
             f"{k}**{n_states} relabelings exceed the budget of {ASSIGNMENT_LIMIT}"
         )
-    matrix = np.stack(
-        np.unravel_index(np.arange(size), (k,) * n_states), axis=1
-    ).astype(np.int16)
-    matrix.flags.writeable = False
-    return matrix
 
 
-def _length_sweep(a: Automaton, max_len: int):
-    """Yield (length, words, path_vertices) for every length 1..max_len.
+# An entry holds n * k * ceil(k**n / 64) uint64 words, at most
+# `_TABLE_LIMIT` bytes, and is built only after every budget that is
+# checked up front has passed.  The corpus and perfbench's verify-oracle
+# workload sweep 11 distinct (k, n) between them.
+@lru_cache(maxsize=16)
+def _masks(k: int, n_states: int) -> np.ndarray:
+    """(ceil(k**n_states / 64), n_states, k) uint64 bitsets: bit r of
+    masks[:, s, d] is set when relabeling r shows digit d at state s.
 
-    Rows of `words` are all words of that length in lexicographic order;
-    the matching row of `path_vertices` lists the states entered after
-    each digit.  Arrays grow incrementally from the previous length.
-    Refuses the whole sweep up front when k**max_len words exceed the
-    word budget.
+    Relabeling r gives state s the digit at place s of r written with
+    n_states base-k digits, most significant first (lexicographic order).
+    Bits past k**n_states are clear, so an AND with any mask clears them.
+    Which bit of which word holds r does not matter to any caller, only
+    that every mask uses the same layout.  The word index comes first so
+    that the sweep's ANDs and gathers run along contiguous rows.
+
+    Callers check the relabeling budget first.  Within it a large radix
+    still makes the table big (k = 1000 with 2 states needs 250 MB), so
+    the table is refused over `_TABLE_LIMIT` bytes.  Builds in
+    O(n k^(n+1)) time with O(k^n) bytes of scratch.
     """
-    k = a.k
+    width = -(-(k**n_states) // 64)
+    table_bytes = n_states * k * width * 8
+    if table_bytes > _TABLE_LIMIT:
+        raise InstanceTooLarge(
+            f"{k}**{n_states} relabelings need a {table_bytes}-byte mask table, "
+            f"over the budget of {_TABLE_LIMIT} bytes"
+        )
+    relabeling = np.arange(width * 64)
+    masks = np.empty((width, n_states, k), dtype=np.uint64)
+    for s in range(n_states):
+        digit = relabeling // k ** (n_states - 1 - s) % k
+        digit[k**n_states :] = k  # padding bits show no digit
+        for d in range(k):
+            masks[:, s, d] = np.packbits(digit == d, bitorder="little").view(np.uint64)
+    masks.flags.writeable = False
+    return masks
+
+
+def _sweep(a: Automaton, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (m, h) for m = 1..max_len, where h[i] is the floor index of
+    the word of length m whose digits, last first, spell i in base k:
+    entry i of length m extends entry i % k**(m-1) of length m - 1 by the
+    digit i // k**(m-1).  Keeping the new digit outermost lets each
+    length's AND read its parents' alive table as contiguous rows.
+
+    Budgets, in this order: relabelings, then k**max_len words, both
+    before anything is built; then the mask table, and before each
+    length that length's alive table, against `_TABLE_LIMIT`.  Length m costs O(k^m *
+    ceil(k^n / 64)) time and holds k^m * ceil(k^n / 64) * 8 bytes of
+    alive table, next to its parent's table, which is k times smaller,
+    plus 8 bytes of mask column and 2 of floor index per word.
+    """
+    k, n = a.k, len(a.states)
+    _check_relabelings(k, n)
     if k**max_len > WORD_LIMIT:
         raise InstanceTooLarge(f"{k}**{max_len} words exceed the budget of {WORD_LIMIT}")
-    trans = np.asarray(a.transition, dtype=np.int64)
-    words = np.zeros((1, 0), dtype=np.int16)
-    verts = np.zeros((1, 0), dtype=np.int16)
-    ends = np.asarray([a.initial], dtype=np.int64)
+    masks = _masks(k, n)
+    width = masks.shape[0]
+    masks = masks.reshape(width, n * k)  # column s * k + d
+    # column[s, d]: the mask column of the state s enters on digit d;
+    # successors[d, c]: the same from the state of mask column c
+    column = np.asarray(a.transition, dtype=np.intp) * k + np.arange(k)
+    successors = column.T.repeat(k, axis=1)
+    # each word's mask column; any column of the initial state stands for
+    # the empty word, since successors[:, c] depends on c // k alone
+    at = np.asarray([a.initial * k])
+    alive = np.bitwise_or.reduce(masks, axis=1)[:, None]  # every relabeling
+    h = np.zeros(1, dtype=np.int16)
     for m in range(1, max_len + 1):
-        n_prev = words.shape[0]
-        last = np.tile(np.arange(k, dtype=np.int16), n_prev)
-        new_ends = trans[np.repeat(ends, k), last.astype(np.int64)]
-        new_words = np.empty((n_prev * k, m), dtype=np.int16)
-        new_words[:, : m - 1] = np.repeat(words, k, axis=0)
-        new_words[:, m - 1] = last
-        new_verts = np.empty((n_prev * k, m), dtype=np.int16)
-        new_verts[:, : m - 1] = np.repeat(verts, k, axis=0)
-        new_verts[:, m - 1] = new_ends.astype(np.int16)
-        words, verts, ends = new_words, new_verts, new_ends
-        yield m, words, verts
-
-
-def _per_word_floor(
-    assignments: np.ndarray, words: np.ndarray, verts: np.ndarray
-) -> np.ndarray:
-    """For each row of the (n_words, m) `words`, with `verts` the states
-    its path enters: the latest first-miss position any relabeling
-    achieves, or m when some relabeling reads the word back perfectly.
-    The word's floor distance is ZERO for m, else 2**-h (`_floor`)."""
-    n_words, m = words.shape
-    h = np.empty(n_words, dtype=np.int64)
-    for lo in range(0, n_words, _WORD_CHUNK):
-        hi = min(lo + _WORD_CHUNK, n_words)
-        readbacks = assignments[:, verts[lo:hi]]  # (n_assign, chunk, m)
-        mismatch = readbacks != words[lo:hi][None, :, :]
-        first = np.where(mismatch.any(axis=2), mismatch.argmax(axis=2), m)
-        h[lo:hi] = first.max(axis=0)
-    return h
-
-
-def _floor(h: int, m: int) -> DyadicDistance:
-    return ZERO if h == m else pow2inv(h)
+        table_bytes = k**m * width * 8
+        if table_bytes > _TABLE_LIMIT:
+            raise InstanceTooLarge(
+                f"length {m} needs a {table_bytes}-byte table of {k}**{m} words "
+                f"x {k}**{n} relabelings, over the budget of {_TABLE_LIMIT} bytes"
+            )
+        at = np.take(successors, at.ravel(), axis=1)  # (k, words of length m - 1)
+        child = np.take(masks, at, axis=1)
+        child &= alive[:, None, :]
+        h = np.where(np.logical_or.reduce(child, axis=0), np.int16(m), h).ravel()
+        alive = child.reshape(width, -1)
+        yield m, h
 
 
 def inf_over_outputs(a: Automaton, word: Iterable[int]) -> DyadicDistance:
     """Smallest prefix distance between `word` and its readback, over every
-    relabeling of the states.  Plain enumeration of all k**n relabelings."""
-    assignments = _assignment_matrix(a.k, len(a.states))
+    relabeling of the states.  Plain enumeration of all k**n relabelings,
+    ANDing the masks along the word's path: O(m * ceil(k^n / 64)) time and
+    one ceil(k^n / 64)-word bitset for a word of length m."""
+    k, n = a.k, len(a.states)
+    _check_relabelings(k, n)
     run = a.run_path(word)
-    if not run.word:
-        return ZERO
-    words = np.asarray([run.word], dtype=np.int16)
-    verts = np.asarray([run.vertices[1:]], dtype=np.int16)
-    return _floor(int(_per_word_floor(assignments, words, verts)[0]), len(run.word))
+    masks = _masks(k, n)
+    alive = np.bitwise_or.reduce(masks[:, 0, :], axis=1)
+    for i, (s, d) in enumerate(zip(run.vertices[1:], run.word)):
+        alive = alive & masks[:, s, d]
+        if not alive.any():
+            return pow2inv(i)
+    return ZERO
 
 
 def per_word_infs(
     a: Automaton, max_len: int
 ) -> Iterator[tuple[Word, DyadicDistance]]:
     """(word, floor distance over relabelings) for every word of length
-    1..max_len, lexicographic within each length."""
-    assignments = _assignment_matrix(a.k, len(a.states))
-    for m, words, verts in _length_sweep(a, max_len):
-        h = _per_word_floor(assignments, words, verts)
-        for row, hi in zip(words.tolist(), h.tolist()):
-            yield tuple(row), _floor(hi, m)
+    1..max_len, lexicographic within each length.  Each length m costs
+    what `_sweep` says, plus O(k^m * m) to spell out its words."""
+    for m, h in _sweep(a, max_len):
+        words = itertools.product(range(a.k), repeat=m)
+        lexicographic = h.reshape((a.k,) * m).T.ravel()  # first digit outermost
+        for word, hi in zip(words, lexicographic.tolist()):
+            yield word, ZERO if hi == m else pow2inv(hi)
 
 
 def brute_force_opacity(a: Automaton, max_len: int) -> DyadicDistance:
@@ -150,10 +195,13 @@ def brute_force_opacity(a: Automaton, max_len: int) -> DyadicDistance:
     scan has already processed.  So later lengths can never produce a
     larger value, and the minimum h seen at the first clashing length is
     the exact answer for every bound at or beyond it.
+
+    Cost: the lengths up to the first clashing one, each as `_sweep`
+    gives it, O(k^m * ceil(k^n / 64)) time and k^m * ceil(k^n / 64) * 8
+    bytes at length m; no words are spelled out.
     """
-    assignments = _assignment_matrix(a.k, len(a.states))
-    for m, words, verts in _length_sweep(a, max_len):
-        h = int(_per_word_floor(assignments, words, verts).min())
-        if h < m:
-            return pow2inv(h)
+    for m, h in _sweep(a, max_len):
+        low = int(h.min())
+        if low < m:
+            return pow2inv(low)
     return ZERO

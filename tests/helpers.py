@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from dfao.automaton import (
@@ -207,6 +208,19 @@ def cycle_chain(n: int, k: int) -> Dfao:
     )
 
 
+def residue_machine(k: int, p: int) -> Dfao:
+    """n mod p read in base k: delta(r, d) = (r k + d) mod p, output r at
+    state r.  State r is entered only on digit r mod k, so it is
+    transparent when k divides p; p = 10, k = 2 is the 10-state binary
+    de Bruijn machine."""
+    return make_dfao(
+        k,
+        {f"r{r}": tuple(f"r{(r * k + d) % p}" for d in range(k)) for r in range(p)},
+        "r0",
+        {f"r{r}": str(r) for r in range(p)},
+    )
+
+
 @st.composite
 def small_automata(draw):
     k = draw(st.sampled_from((2, 3)))
@@ -372,3 +386,78 @@ def pure_python_inf(a: Automaton, word) -> DyadicDistance:
         prefix_distance(word, readout(a, word, assignment))
         for assignment in itertools.product(range(a.k), repeat=len(a.states))
     )
+
+
+def assignment_matrix(k: int, n_states: int) -> np.ndarray:
+    """All k**n_states relabelings, one per row, lexicographic order."""
+    size = k**n_states
+    return np.stack(
+        np.unravel_index(np.arange(size), (k,) * n_states), axis=1
+    ).astype(np.int16)
+
+
+def length_sweep(a: Automaton, max_len: int):
+    """Yield (length, words, path_vertices) for every length 1..max_len.
+
+    Rows of `words` are all words of that length in lexicographic order;
+    the matching row of `path_vertices` lists the states entered after
+    each digit.  Arrays grow incrementally from the previous length.
+    """
+    k = a.k
+    trans = np.asarray(a.transition, dtype=np.int64)
+    words = np.zeros((1, 0), dtype=np.int16)
+    verts = np.zeros((1, 0), dtype=np.int16)
+    ends = np.asarray([a.initial], dtype=np.int64)
+    for m in range(1, max_len + 1):
+        n_prev = words.shape[0]
+        last = np.tile(np.arange(k, dtype=np.int16), n_prev)
+        new_ends = trans[np.repeat(ends, k), last.astype(np.int64)]
+        new_words = np.empty((n_prev * k, m), dtype=np.int16)
+        new_words[:, : m - 1] = np.repeat(words, k, axis=0)
+        new_words[:, m - 1] = last
+        new_verts = np.empty((n_prev * k, m), dtype=np.int16)
+        new_verts[:, : m - 1] = np.repeat(verts, k, axis=0)
+        new_verts[:, m - 1] = new_ends.astype(np.int16)
+        words, verts, ends = new_words, new_verts, new_ends
+        yield m, words, verts
+
+
+def per_word_floor(
+    assignments: np.ndarray, words: np.ndarray, verts: np.ndarray, chunk: int = 2048
+) -> np.ndarray:
+    """For each row of the (n_words, m) `words`, with `verts` the states
+    its path enters: the latest first-miss position any relabeling
+    achieves, or m when some relabeling reads the word back perfectly.
+    Every relabeling's readback is compared over all m positions, a chunk
+    of words at a time."""
+    n_words, m = words.shape
+    h = np.empty(n_words, dtype=np.int64)
+    for lo in range(0, n_words, chunk):
+        hi = min(lo + chunk, n_words)
+        readbacks = assignments[:, verts[lo:hi]]  # (n_assign, chunk, m)
+        mismatch = readbacks != words[lo:hi][None, :, :]
+        first = np.where(mismatch.any(axis=2), mismatch.argmax(axis=2), m)
+        h[lo:hi] = first.max(axis=0)
+    return h
+
+
+def readback_per_word_infs(a: Automaton, max_len: int):
+    """`dfao.oracle.per_word_infs` by the full readback of every word
+    under every relabeling, without budgets: the test reference for the
+    bit-sliced, prefix-shared sweep."""
+    assignments = assignment_matrix(a.k, len(a.states))
+    for m, words, verts in length_sweep(a, max_len):
+        h = per_word_floor(assignments, words, verts)
+        for row, hi in zip(words.tolist(), h.tolist()):
+            yield tuple(row), ZERO if hi == m else pow2inv(hi)
+
+
+def readback_brute_force_opacity(a: Automaton, max_len: int) -> DyadicDistance:
+    """`dfao.oracle.brute_force_opacity` by the full readback, without
+    budgets: lengths in order, stopping at the first clashing one."""
+    assignments = assignment_matrix(a.k, len(a.states))
+    for m, words, verts in length_sweep(a, max_len):
+        h = int(per_word_floor(assignments, words, verts).min())
+        if h < m:
+            return pow2inv(h)
+    return ZERO

@@ -12,6 +12,7 @@ from dfao.automaton import make_dfao
 from dfao import cli
 from dfao.cli import main
 from dfao.corpus import build, names
+from helpers import residue_machine
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -224,6 +225,31 @@ def test_huge_radix_fails_cleanly_without_allocating(tmp_path):
     )
     assert result.returncode == 1
     assert result.stderr == "error: no edge for state 'A' on digit 0\n"
+
+
+def test_oracle_table_refusal_is_skipped_under_memory_cap(tmp_path):
+    """The transparent 10-state binary de Bruijn machine passes both
+    up-front oracle budgets but not the alive-table cap; under a 1 GiB
+    address-space cap the report comes out without an oracle value, as
+    for any other budget refusal."""
+    resource = pytest.importorskip("resource")
+    f = tmp_path / "debruijn10.aut"
+    f.write_text(serialize(residue_machine(2, 10)))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "dfao.cli", "analyze", "--json", "--oracle", str(f)],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    obj = json.loads(result.stdout)
+    assert obj["opacity"] == {"num": 0, "den": 1} and "oracle" not in obj
 
 
 def test_usage_errors_exit_two(capsys):

@@ -5,13 +5,13 @@ import random
 import pytest
 from hypothesis import given
 
-from dfao.automaton import make_dfao
+from dfao.automaton import Automaton, make_dfao
 from dfao.corpus import build
 from dfao.dyadic import ZERO, pow2inv
 from dfao.errors import DigitOutOfRange, InstanceTooLarge
 from dfao.opacity import compute_opacity, longest_homogeneous_prefix
 from dfao.oracle import (
-    _assignment_matrix,
+    _masks,
     brute_force_opacity,
     inf_over_outputs,
     oracle_bound,
@@ -19,10 +19,14 @@ from dfao.oracle import (
 )
 from helpers import (
     all_words,
+    cycle_chain,
     prefix_distance,
     pure_python_inf,
     random_dfao,
+    readback_brute_force_opacity,
+    readback_per_word_infs,
     readout,
+    residue_machine,
     small_automata,
 )
 
@@ -181,13 +185,109 @@ def test_word_budget_guard():
     assert brute_force_opacity(a, 23) == pow2inv(1)
 
 
+def test_word_refusal_builds_no_table():
+    """Both up-front budgets are checked before the per-(k, n) table is
+    built, so a refused instance neither builds nor caches one."""
+    a = cycle_chain(13, 2).automaton  # 2**13 relabelings pass, 2**28 words do not
+    words = r"^2\*\*28 words exceed the budget of 10000000$"
+    before = _masks.cache_info()
+    with pytest.raises(InstanceTooLarge, match=words):
+        brute_force_opacity(a, oracle_bound(a))
+    with pytest.raises(InstanceTooLarge, match=words):
+        list(per_word_infs(a, oracle_bound(a)))
+    after = _masks.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_table_budget_guard():
+    """The transparent 10-state binary de Bruijn machine passes both
+    up-front budgets at its bound of 22 (2**22 words), but its alive table
+    would need 2**20 rows of 16 uint64 words at length 20."""
+    a = residue_machine(2, 10).automaton
+    table = (
+        r"^length 20 needs a 134217728-byte table of 2\*\*20 words "
+        r"x 2\*\*10 relabelings, over the budget of 67108864 bytes$"
+    )
+    with pytest.raises(InstanceTooLarge, match=table):
+        brute_force_opacity(a, oracle_bound(a))
+    assert brute_force_opacity(a, 19) == ZERO  # the last length that fits
+
+
+def test_mask_table_budget_guard():
+    """A large radix keeps the relabelings within budget but not their
+    mask table: 1000**2 relabelings need 2 * 1000 masks of 15625 words."""
+    k = 1000
+    a = make_dfao(k, {"a": ("b",) * k, "b": ("a",) * k}, "a").automaton
+    table = (
+        r"^1000\*\*2 relabelings need a 250000000-byte mask table, "
+        r"over the budget of 67108864 bytes$"
+    )
+    for _ in range(2):  # nothing about the refusal is cached
+        with pytest.raises(InstanceTooLarge, match=table):
+            inf_over_outputs(a, (0, 1))
+        with pytest.raises(InstanceTooLarge, match=table):
+            brute_force_opacity(a, 2)  # 1000**2 words pass the word budget
+    with pytest.raises(InstanceTooLarge, match=r"^1000\*\*6 words exceed"):
+        brute_force_opacity(a, oracle_bound(a))
+
+
 def test_assignment_matrix_cache_is_bounded():
-    cap = _assignment_matrix.cache_info().maxsize
-    # the corpus and the verify-oracle benchmark use 15 distinct (k, n)
+    """The per-(k, n) relabeling table is the bounded cache: in a
+    one-state machine, relabeling d alone shows digit d."""
+    cap = _masks.cache_info().maxsize
+    # the corpus and the verify-oracle benchmark sweep 11 distinct (k, n)
     assert cap is not None and cap >= 15
     for k in range(2, cap + 4):
-        assert _assignment_matrix(k, 1).tolist() == [[d] for d in range(k)]
-    assert _assignment_matrix.cache_info().currsize == cap
+        assert _masks(k, 1).tolist() == [[[1 << d for d in range(k)]]]
+    assert _masks.cache_info().currsize == cap
+
+
+def _differential_population():
+    """Machines whose k**n relabelings fill less than one uint64 word,
+    exactly one, and several, with and without padding bits in the last:
+    seeded random machines (mostly opaque, so sweeps stop early), cycle
+    chains (first clash at length n + 1) and transparent residue machines
+    (swept to the bound)."""
+    rng = random.Random(109)
+    for k, n_min, n_max in ((2, 1, 8), (3, 1, 6), (4, 1, 4)):
+        for i in range(40):
+            a = random_dfao(rng, k=k, max_states=n_max, min_states=n_min).automaton
+            if i % 2:  # the same machine with its initial state at index 1
+                n = len(a.states)
+                up = [(s + 1) % n for s in range(n)]
+                rows = [None] * n
+                for s, row in enumerate(a.transition):
+                    rows[up[s]] = tuple(up[t] for t in row)
+                names = tuple(a.states[-1:] + a.states[:-1])
+                a = Automaton(k, names, up[a.initial], tuple(rows))
+            yield a
+    for k, n in ((2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4)):
+        yield cycle_chain(n, k).automaton
+    for k, p in ((2, 4), (2, 6), (3, 3)):
+        yield residue_machine(k, p).automaton
+    # transparent, 81 relabelings: each state is entered on one digit only
+    rows = {"a": ("a", "b", "c"), "b": ("a", "b", "c"), "c": ("a", "b", "d"), "d": ("a", "b", "c")}
+    yield make_dfao(3, rows, "a").automaton
+
+
+def test_sweep_matches_readback_reference():
+    widths = set()
+    for a in _differential_population():
+        k, n = a.k, len(a.states)
+        widths.add((k**n < 64, k**n == 64, k**n % 64 != 0))
+        for m in range(oracle_bound(a) + 1):
+            assert brute_force_opacity(a, m) == readback_brute_force_opacity(a, m), (a, m)
+        assert list(per_word_infs(a, 6)) == list(readback_per_word_infs(a, 6)), a
+    # below one word, exactly one, several with padding, several without
+    assert widths == {(True, False, True), (False, True, False),
+                      (False, False, True), (False, False, False)}
+
+
+@given(small_automata())
+def test_sweep_matches_readback_reference_property(a):
+    bound = oracle_bound(a)
+    assert brute_force_opacity(a, bound) == readback_brute_force_opacity(a, bound)
+    assert list(per_word_infs(a, 4)) == list(readback_per_word_infs(a, 4))
 
 
 def test_brute_force_agrees_with_analysis_on_randoms():
