@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, filterfalse
 from typing import Iterable, Mapping, Sequence
 
@@ -99,17 +98,6 @@ class Automaton:
             for t in row:
                 if not 0 <= t < n:
                     raise UnknownState(f"transition target index {t} out of range")
-
-    @cached_property
-    def _name_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.states)}
-
-    def index(self, name: str) -> int:
-        """State index for a display name."""
-        try:
-            return self._name_index[name]
-        except KeyError:
-            raise UnknownState(f"no state named {name!r}") from None
 
     def _check_digit(self, d: int) -> None:
         if not 0 <= d < self.k:

@@ -62,6 +62,14 @@ def _witness_json(witness: PathWitness, intrinsic: Dfao) -> dict:
     }
 
 
+def _inhomogeneous_names(report: AnalysisReport) -> list[str]:
+    return [
+        report.intrinsic.states[s]
+        for s, verdict in enumerate(report.state_homogeneity)
+        if not verdict.homogeneous
+    ]
+
+
 def _report_json(
     report: AnalysisReport,
     name: str,
@@ -77,11 +85,7 @@ def _report_json(
     obj["complexity"] = _fraction_json(report.complexity)
     if report.witness is not None:
         obj["witness"] = _witness_json(report.witness, report.intrinsic)
-    obj["inhomogeneous_states"] = [
-        report.intrinsic.states[s]
-        for s, verdict in enumerate(report.state_homogeneity)
-        if not verdict.homogeneous
-    ]
+    obj["inhomogeneous_states"] = _inhomogeneous_names(report)
     obj["minimized_states"] = report.states_count
     if oracle_result is not None:
         bound, value = oracle_result
@@ -130,12 +134,7 @@ def _cmd_analyze(args) -> int:
                 f"and {w.position_b})",
             )
         )
-    inhomogeneous = [
-        intrinsic.states[s]
-        for s, verdict in enumerate(report.state_homogeneity)
-        if not verdict.homogeneous
-    ]
-    rows.append(("inhomogeneous states", ", ".join(inhomogeneous) or "none"))
+    rows.append(("inhomogeneous states", ", ".join(_inhomogeneous_names(report)) or "none"))
     if oracle_result is not None:
         bound, value = oracle_result
         agrees = value == report.opacity.as_dyadic()

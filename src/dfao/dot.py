@@ -29,14 +29,13 @@ def to_dot(d: Dfao, witness: PathWitness | None = None) -> str:
         lines.append(f'  s{i} [shape=circle, label="{label}"];')
     lines.append(f"  start -> s{a.initial};")
 
-    n = len(a.states)
-    for src in range(n):
+    for src, row in enumerate(a.transition):
         plain: dict[int, list[int]] = {}
         marked: dict[int, list[int]] = {}
-        for digit, dst in enumerate(a.transition[src]):
+        for digit, dst in enumerate(row):
             bucket = marked if (src, digit, dst) in witness_edges else plain
             bucket.setdefault(dst, []).append(digit)
-        for dst in range(n):
+        for dst in sorted(plain.keys() | marked.keys()):
             if dst in plain:
                 label = ",".join(str(dig) for dig in plain[dst])
                 lines.append(f'  s{src} -> s{dst} [label="{label}"];')

@@ -31,13 +31,6 @@ class Partition:
     block_of: tuple[int, ...]
     n_blocks: int
 
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Members of each block, in block order."""
-        members: list[list[int]] = [[] for _ in range(self.n_blocks)]
-        for s, b in enumerate(self.block_of):
-            members[b].append(s)
-        return tuple(tuple(m) for m in members)
-
 
 @dataclass(frozen=True)
 class FactorMap:

@@ -42,9 +42,8 @@ from .automaton import Automaton, Word
 from .dyadic import ZERO, DyadicDistance, pow2inv
 from .errors import InstanceTooLarge
 
-# Budget guards: relabelings per machine and words per sweep.
+# Budget guard: relabelings per machine.
 ASSIGNMENT_LIMIT = 10**6
-WORD_LIMIT = 10**7
 # Bytes of the per-(k, n) mask table and of one length's alive table,
 # k**m rows of ceil(k**n / 64) uint64 words; a sweep refuses the first
 # length whose table would not fit.
@@ -71,9 +70,9 @@ def _check_relabelings(k: int, n_states: int) -> None:
 
 
 # An entry holds n * k * ceil(k**n / 64) uint64 words, at most
-# `_TABLE_LIMIT` bytes, and is built only after every budget that is
-# checked up front has passed.  The corpus and perfbench's verify-oracle
-# workload sweep 11 distinct (k, n) between them.
+# `_TABLE_LIMIT` bytes, and is built only after the relabeling budget has
+# passed.  The corpus and perfbench's verify-oracle workload sweep 15
+# distinct (k, n) between them.
 @lru_cache(maxsize=16)
 def _masks(k: int, n_states: int) -> np.ndarray:
     """(ceil(k**n_states / 64), n_states, k) uint64 bitsets: bit r of
@@ -116,17 +115,15 @@ def _sweep(a: Automaton, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
     digit i // k**(m-1).  Keeping the new digit outermost lets each
     length's AND read its parents' alive table as contiguous rows.
 
-    Budgets, in this order: relabelings, then k**max_len words, both
-    before anything is built; then the mask table, and before each
-    length that length's alive table, against `_TABLE_LIMIT`.  Length m costs O(k^m *
-    ceil(k^n / 64)) time and holds k^m * ceil(k^n / 64) * 8 bytes of
-    alive table, next to its parent's table, which is k times smaller,
-    plus 8 bytes of mask column and 2 of floor index per word.
+    Budgets, in this order: relabelings, before anything is built; then
+    the mask table, and before each length that length's alive table,
+    against `_TABLE_LIMIT`.  Length m costs O(k^m * ceil(k^n / 64)) time
+    and holds k^m * ceil(k^n / 64) * 8 bytes of alive table, next to its
+    parent's table, which is k times smaller, plus 8 bytes of mask column
+    and 2 of floor index per word.
     """
     k, n = a.k, len(a.states)
     _check_relabelings(k, n)
-    if k**max_len > WORD_LIMIT:
-        raise InstanceTooLarge(f"{k}**{max_len} words exceed the budget of {WORD_LIMIT}")
     masks = _masks(k, n)
     width = masks.shape[0]
     masks = masks.reshape(width, n * k)  # column s * k + d
@@ -198,7 +195,9 @@ def brute_force_opacity(a: Automaton, max_len: int) -> DyadicDistance:
 
     Cost: the lengths up to the first clashing one, each as `_sweep`
     gives it, O(k^m * ceil(k^n / 64)) time and k^m * ceil(k^n / 64) * 8
-    bytes at length m; no words are spelled out.
+    bytes at length m; no words are spelled out.  Budgets in `_sweep`'s
+    order; a length's table is checked only when it is reached, so a
+    machine that clashes early is answered whatever its bound.
     """
     for m, h in _sweep(a, max_len):
         low = int(h.min())

@@ -48,8 +48,24 @@ def step(a: Automaton, s: int, word) -> int:
     return s
 
 
+def index(a: Automaton, name: str) -> int:
+    """State index for a display name."""
+    try:
+        return a.states.index(name)
+    except ValueError:
+        raise UnknownState(f"no state named {name!r}") from None
+
+
 def output_of(d: Dfao, name: str) -> str:
-    return d.output[d.automaton.index(name)]
+    return d.output[index(d.automaton, name)]
+
+
+def blocks(part: Partition) -> tuple[tuple[int, ...], ...]:
+    """Members of each block of `part`, in block order."""
+    members: list[list[int]] = [[] for _ in range(part.n_blocks)]
+    for s, b in enumerate(part.block_of):
+        members[b].append(s)
+    return tuple(tuple(m) for m in members)
 
 
 def canonicalize(d: Dfao) -> tuple[Dfao, tuple[int, ...]]:

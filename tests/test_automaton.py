@@ -35,6 +35,7 @@ from helpers import (
     canonical_form,
     canonicalize,
     digits_msb,
+    index,
     output_of,
     random_dfao,
     small_automata,
@@ -89,8 +90,8 @@ def test_output_validation():
 def test_step_and_run_path():
     bs = build("baum_sweet")
     a = bs.automaton
-    assert step(a, a.initial, (1, 0, 0)) == a.index("B")
-    assert step(a, a.index("D"), (0, 1, 0, 1)) == a.index("D")
+    assert step(a, a.initial, (1, 0, 0)) == index(a, "B")
+    assert step(a, index(a, "D"), (0, 1, 0, 1)) == index(a, "D")
 
     tern = build("ternary_digit_sum")
     run = tern.automaton.run_path((1, 0))
@@ -107,10 +108,10 @@ def test_step_and_run_path():
 
 def test_index_lookup():
     tm = thue_morse()
-    assert tm.automaton.index("B") == 1
+    assert index(tm.automaton, "B") == 1
     assert output_of(tm, "B") == "1"
     with pytest.raises(UnknownState):
-        tm.automaton.index("Z")
+        index(tm.automaton, "Z")
 
 
 def test_strict_accessibility():

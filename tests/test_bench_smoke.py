@@ -1,7 +1,7 @@
 """A short run of the benchmark, so the harness cannot rot unnoticed: it
 must finish, judge every op correct (each output matches its recorded
-digest and the independent checks) and report every end-to-end metric.
-No timing is asserted."""
+digest and the independent checks), verify every oracle cell and report
+every end-to-end metric.  No timing is asserted."""
 
 import json
 import shutil
@@ -29,5 +29,6 @@ def test_verify_oracle_smoke_run(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["correct"] is True, result.stdout
     assert report["failed"] == 0
+    assert report["metrics"]["ok_ratio"]["value"] == 1.0  # every oracle cell verified
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {m["name"] for m in declared} <= set(report["metrics"])

@@ -228,10 +228,11 @@ def test_huge_radix_fails_cleanly_without_allocating(tmp_path):
 
 
 def test_oracle_table_refusal_is_skipped_under_memory_cap(tmp_path):
-    """The transparent 10-state binary de Bruijn machine passes both
-    up-front oracle budgets but not the alive-table cap; under a 1 GiB
-    address-space cap the report comes out without an oracle value, as
-    for any other budget refusal."""
+    """The transparent 10-state binary de Bruijn machine passes the
+    relabeling budget and the mask-table cap but not the alive-table cap
+    at length 20 of its bound of 22; under a 1 GiB address-space cap the
+    report comes out without an oracle value, as for any other budget
+    refusal."""
     resource = pytest.importorskip("resource")
     f = tmp_path / "debruijn10.aut"
     f.write_text(serialize(residue_machine(2, 10)))

@@ -62,3 +62,36 @@ def test_node_count():
     gs = build("golay_shapiro")
     text = to_dot(gs)
     assert text.count("shape=circle") == 4
+
+
+def test_edge_order_follows_targets_not_digits():
+    """A's digits go to C, B, C, A: edges come out by target index, each
+    target's digits merged in digit order, a witness's red edge right after
+    the plain edge to the same target."""
+    d = make_dfao(4, {"A": ("C", "B", "C", "A"), "B": ("A",) * 4, "C": ("C", "A", "B", "C")}, "A")
+    witness = shortest_inhomogeneous_path(d.automaton)
+    assert witness.word == (0, 3)
+
+    def edges(text):
+        return text.splitlines()[text.splitlines().index("  start -> s0;") + 1 : -1]
+
+    assert edges(to_dot(d)) == [
+        '  s0 -> s0 [label="3"];',
+        '  s0 -> s1 [label="1"];',
+        '  s0 -> s2 [label="0,2"];',
+        '  s1 -> s0 [label="0,1,2,3"];',
+        '  s2 -> s0 [label="1"];',
+        '  s2 -> s1 [label="2"];',
+        '  s2 -> s2 [label="0,3"];',
+    ]
+    assert edges(to_dot(d, witness)) == [
+        '  s0 -> s0 [label="3"];',
+        '  s0 -> s1 [label="1"];',
+        '  s0 -> s2 [label="2"];',
+        '  s0 -> s2 [label="0", color=red, penwidth=2];',
+        '  s1 -> s0 [label="0,1,2,3"];',
+        '  s2 -> s0 [label="1"];',
+        '  s2 -> s1 [label="2"];',
+        '  s2 -> s2 [label="0"];',
+        '  s2 -> s2 [label="3", color=red, penwidth=2];',
+    ]

@@ -9,6 +9,7 @@ from dfao.automaton import are_equivalent, make_dfao
 from dfao.corpus import ENTRIES, build
 from dfao.minimize import intrinsic_automaton, minimize, moore_partition
 from helpers import (
+    blocks,
     canonical_form,
     cycle_chain,
     is_minimal,
@@ -34,7 +35,7 @@ def test_moore_partition_merges_split_states():
     part = moore_partition(tm_with_split_a())
     assert part.n_blocks == 2
     assert part.block_of == (0, 0, 1)
-    assert part.blocks() == ((0, 1), (2,))
+    assert blocks(part) == ((0, 1), (2,))
 
 
 def test_moore_partition_on_minimal_machines():
@@ -42,7 +43,7 @@ def test_moore_partition_on_minimal_machines():
         d = build(name)
         part = moore_partition(d)
         assert part.n_blocks == len(d.states)
-        assert part.blocks() == tuple((s,) for s in range(len(d.states)))
+        assert blocks(part) == tuple((s,) for s in range(len(d.states)))
 
 
 def test_moore_partition_constant_outputs_collapse():

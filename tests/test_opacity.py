@@ -26,6 +26,7 @@ from helpers import (
     cycle_chain,
     entry_distance,
     exhaustive_shortest_clash,
+    index,
     random_dfao,
     return_distance,
     small_automata,
@@ -251,7 +252,7 @@ def test_witness_tie_goes_to_the_smaller_word_not_the_earlier_state():
     )
     for d, word in ((same_entry, (0, 1)), (later_entry, (0, 0, 1))):
         a = d.automaton
-        P, Q = a.index("P"), a.index("Q")
+        P, Q = index(a, "P"), index(a, "Q")
         assert P < Q
         for s, d1, d2 in ((P, 1, 0), (Q, 0, 1)):
             assert entry_distance(a, s, d1) + return_distance(a, s, d2) == len(word)

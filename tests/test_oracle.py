@@ -157,14 +157,14 @@ def test_oracle_bound_values():
 
 
 def test_assignment_budget_guard():
-    """The relabeling budget comes before the word budget, a bad digit and
+    """The relabeling budget comes before the table caps, a bad digit and
     the empty word, with the same message on every call."""
     n = 21  # 2**21 relabelings exceed the 10**6 budget
     rows = {f"q{i}": (f"q{(i + 1) % n}", f"q{(i + 1) % n}") for i in range(n)}
     a = make_dfao(2, rows, "q0", {f"q{i}": "x" for i in range(n)}).automaton
     relabelings = r"^2\*\*21 relabelings exceed the budget of 1000000$"
     for _ in range(2):  # nothing about the refusal is cached
-        for max_len in (4, 24):  # 2**24 words exceed the word budget too
+        for max_len in (4, 24):  # at 24 the length-9 table would pass its cap too
             with pytest.raises(InstanceTooLarge, match=relabelings):
                 brute_force_opacity(a, max_len)
             with pytest.raises(InstanceTooLarge, match=relabelings):
@@ -174,35 +174,37 @@ def test_assignment_budget_guard():
                 inf_over_outputs(a, word)
 
 
-def test_word_budget_guard():
+def test_sweep_stops_at_first_clash_whatever_the_bound():
+    """No budget is put on the bound itself: Thue-Morse first clashes at
+    length 2, so every bound from 2 on gives 1/2 without building a longer
+    length, and `per_word_infs` builds a length only when it is reached."""
     a = build("thue_morse").automaton
-    words = r"^2\*\*24 words exceed the budget of 10000000$"
-    with pytest.raises(InstanceTooLarge, match=words):
-        brute_force_opacity(a, 24)  # 2**24 words exceed the 10**7 budget
-    with pytest.raises(InstanceTooLarge, match=words):
-        list(per_word_infs(a, 24))
-    # the rule is on k**max_len, whatever length the sweep would stop at
-    assert brute_force_opacity(a, 23) == pow2inv(1)
+    for max_len in (2, 23, 24, 10**6):
+        assert brute_force_opacity(a, max_len) == pow2inv(1)
+    assert next(per_word_infs(a, 24)) == ((0,), ZERO)
 
 
-def test_word_refusal_builds_no_table():
-    """Both up-front budgets are checked before the per-(k, n) table is
+def test_relabeling_refusal_builds_no_table():
+    """The relabeling budget is checked before the per-(k, n) table is
     built, so a refused instance neither builds nor caches one."""
-    a = cycle_chain(13, 2).automaton  # 2**13 relabelings pass, 2**28 words do not
-    words = r"^2\*\*28 words exceed the budget of 10000000$"
+    a = cycle_chain(20, 2).automaton  # its 5 MiB mask table would pass the cap
+    relabelings = r"^2\*\*20 relabelings exceed the budget of 1000000$"
     before = _masks.cache_info()
-    with pytest.raises(InstanceTooLarge, match=words):
+    with pytest.raises(InstanceTooLarge, match=relabelings):
         brute_force_opacity(a, oracle_bound(a))
-    with pytest.raises(InstanceTooLarge, match=words):
+    with pytest.raises(InstanceTooLarge, match=relabelings):
         list(per_word_infs(a, oracle_bound(a)))
+    with pytest.raises(InstanceTooLarge, match=relabelings):
+        inf_over_outputs(a, (0, 1))
     after = _masks.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_table_budget_guard():
-    """The transparent 10-state binary de Bruijn machine passes both
-    up-front budgets at its bound of 22 (2**22 words), but its alive table
-    would need 2**20 rows of 16 uint64 words at length 20."""
+    """The transparent 10-state binary de Bruijn machine passes the
+    relabeling budget and the mask-table cap, but its alive table would
+    need 2**20 rows of 16 uint64 words at length 20.  Machines that clash
+    before their table outgrows the cap are answered at their bound."""
     a = residue_machine(2, 10).automaton
     table = (
         r"^length 20 needs a 134217728-byte table of 2\*\*20 words "
@@ -211,6 +213,15 @@ def test_table_budget_guard():
     with pytest.raises(InstanceTooLarge, match=table):
         brute_force_opacity(a, oracle_bound(a))
     assert brute_force_opacity(a, 19) == ZERO  # the last length that fits
+    # first clash at length 14, in a 16 MiB table of 2**14 words x 2**13
+    chain = cycle_chain(13, 2).automaton
+    assert brute_force_opacity(chain, oracle_bound(chain)) == pow2inv(13)
+    # transparent, 2**9 relabelings: the length-20 table of 2**20 rows of
+    # 8 uint64 words fills the cap exactly, so the sweep reaches bound 20
+    rows = {f"s{s}": (f"s{(s + 1) % 5}", f"s{5 + s % 4}") for s in range(9)}
+    a = make_dfao(2, rows, "s0").automaton
+    assert oracle_bound(a) == 20 and compute_opacity(a).as_dyadic() == ZERO
+    assert brute_force_opacity(a, oracle_bound(a)) == ZERO
 
 
 def test_mask_table_budget_guard():
@@ -225,17 +236,16 @@ def test_mask_table_budget_guard():
     for _ in range(2):  # nothing about the refusal is cached
         with pytest.raises(InstanceTooLarge, match=table):
             inf_over_outputs(a, (0, 1))
-        with pytest.raises(InstanceTooLarge, match=table):
-            brute_force_opacity(a, 2)  # 1000**2 words pass the word budget
-    with pytest.raises(InstanceTooLarge, match=r"^1000\*\*6 words exceed"):
-        brute_force_opacity(a, oracle_bound(a))
+        for max_len in (2, oracle_bound(a)):
+            with pytest.raises(InstanceTooLarge, match=table):
+                brute_force_opacity(a, max_len)
 
 
 def test_assignment_matrix_cache_is_bounded():
     """The per-(k, n) relabeling table is the bounded cache: in a
     one-state machine, relabeling d alone shows digit d."""
     cap = _masks.cache_info().maxsize
-    # the corpus and the verify-oracle benchmark sweep 11 distinct (k, n)
+    # the corpus and the verify-oracle benchmark sweep 15 distinct (k, n)
     assert cap is not None and cap >= 15
     for k in range(2, cap + 4):
         assert _masks(k, 1).tolist() == [[[1 << d for d in range(k)]]]
@@ -292,8 +302,14 @@ def test_sweep_matches_readback_reference_property(a):
 
 def test_brute_force_agrees_with_analysis_on_randoms():
     rng = random.Random(107)
-    for _ in range(60):
-        a = random_dfao(rng).automaton
+    machines = [random_dfao(rng).automaton for _ in range(60)]
+    # 11 to 16 binary states before pruning, as the verify-oracle benchmark
+    # draws its x cells; those left with 11 or more have bounds of 24 or
+    # more and are swept only up to their first clash
+    wide = [random_dfao(rng, k=2, max_states=16, min_states=11).automaton for _ in range(12)]
+    assert sum(len(a.states) >= 11 for a in wide) >= 6
+    machines += wide
+    for a in machines:
         assert brute_force_opacity(a, oracle_bound(a)) == compute_opacity(a).as_dyadic()
 
 
