@@ -12,7 +12,6 @@ everything against a brute-force oracle.
 from .automaton import (
     Automaton,
     Dfao,
-    PathRun,
     RawDfao,
     Word,
     are_equivalent,
@@ -54,7 +53,6 @@ from .opacity import (
 )
 from .oracle import (
     brute_force_opacity,
-    inf_over_outputs,
     oracle_bound,
     per_word_infs,
 )
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Automaton",
     "Dfao",
-    "PathRun",
     "RawDfao",
     "Word",
     "are_equivalent",
@@ -107,7 +104,6 @@ __all__ = [
     "shortest_inhomogeneous_path",
     "state_homogeneity",
     "brute_force_opacity",
-    "inf_over_outputs",
     "oracle_bound",
     "per_word_infs",
     "__version__",

@@ -46,19 +46,6 @@ def _check_token(kind: str, token: str) -> None:
 
 
 @dataclass(frozen=True)
-class PathRun:
-    """Trace of a word: vertices visited and edges taken, in order.
-
-    vertices[0] is the initial state and len(vertices) == len(word) + 1.
-    Each edge is a (source, digit, target) triple.
-    """
-
-    word: Word
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
 class Automaton:
     """A total deterministic transition system over digits 0 .. k-1.
 
@@ -103,19 +90,16 @@ class Automaton:
         if not 0 <= d < self.k:
             raise DigitOutOfRange(f"digit {d} out of range for k={self.k}")
 
-    def run_path(self, word: Iterable[int]) -> PathRun:
-        """Full trace of `word` from the initial state."""
-        word = tuple(word)
-        vertices = [self.initial]
-        edges = []
+    def run_path(self, word: Iterable[int]) -> tuple[int, ...]:
+        """The states `word` visits from the initial state, that one first,
+        so one more than the word has digits."""
         s = self.initial
+        vertices = [s]
         for d in word:
             self._check_digit(d)
-            t = self.transition[s][d]
-            edges.append((s, d, t))
-            vertices.append(t)
-            s = t
-        return PathRun(word, tuple(vertices), tuple(edges))
+            s = self.transition[s][d]
+            vertices.append(s)
+        return tuple(vertices)
 
     def is_strictly_accessible(self) -> bool:
         """True when every state can be reached from every other state."""
@@ -129,6 +113,16 @@ class Automaton:
             for t in row:
                 back[t].append(s)
         return len(_bfs(back, self.initial)[0]) == n
+
+
+def _preimages(rows: Sequence[Sequence[int]], k: int) -> list[list[list[int]]]:
+    """preimages[d][t] lists, in increasing order, the states whose digit-d
+    edge enters t.  O(nk) for n rows."""
+    preimages: list[list[list[int]]] = [[[] for _ in rows] for _ in range(k)]
+    for s, row in enumerate(rows):
+        for dig, t in enumerate(row):
+            preimages[dig][t].append(s)
+    return preimages
 
 
 def _bfs(

@@ -250,10 +250,6 @@ def build(name: str) -> Dfao:
     return entry(name).builder()
 
 
-def names() -> tuple[str, ...]:
-    return tuple(_BY_NAME)
-
-
 # Independent term evaluators.  Each one computes the sequence from its
 # own recurrence or closed form, never through a machine, so agreement
 # with Dfao.generate is a real check.

@@ -21,7 +21,8 @@ def to_dot(d: Dfao, witness: PathWitness | None = None) -> str:
     a = d.automaton
     witness_edges: set[tuple[int, int, int]] = set()
     if witness is not None:
-        witness_edges = set(a.run_path(witness.word).edges)
+        vertices = a.run_path(witness.word)
+        witness_edges = set(zip(vertices, witness.word, vertices[1:]))
 
     lines = ["digraph dfao {", "  rankdir=LR;", "  start [shape=point];"]
     for i, name in enumerate(a.states):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Hashable, Sequence
 
-from .automaton import Dfao, _canonical, _relabel_rows
+from .automaton import Dfao, _canonical, _preimages, _relabel_rows
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,7 @@ def moore_partition(d: Dfao) -> Partition:
     """
     a = d.automaton
     n, k = len(a.states), a.k
-    preimages = [[[] for _ in range(n)] for _ in range(k)]
-    for s, row in enumerate(a.transition):
-        for dig, t in enumerate(row):
-            preimages[dig][t].append(s)
+    preimages = _preimages(a.transition, k)
 
     block_of = _renumber(d.output)
     n_blocks = max(block_of) + 1

@@ -61,7 +61,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .automaton import Automaton, Dfao, Word, _bfs
+from .automaton import Automaton, Dfao, Word, _bfs, _preimages
 from .dyadic import ZERO, DyadicDistance, pow2inv
 from .minimize import intrinsic_automaton
 
@@ -157,17 +157,6 @@ class AnalysisReport:
     intrinsic: Dfao
 
 
-def _sources_by_label(a: Automaton) -> list[list[list[int]]]:
-    """sources[s][d] lists the states with an edge into s labeled d."""
-    sources: list[list[list[int]]] = [
-        [[] for _ in range(a.k)] for _ in range(len(a.states))
-    ]
-    for s, row in enumerate(a.transition):
-        for dig, t in enumerate(row):
-            sources[t][dig].append(s)
-    return sources
-
-
 def _arrival(dist: list[int | None], feeders: list[int]) -> int | None:
     """Length of a shortest path whose final edge leaves one of `feeders`,
     given distances to them; None when `dist` reaches none of them."""
@@ -236,15 +225,18 @@ def _lexmin_word(levels: list[dict[int, tuple[int, int, int]]], m: int, t: int) 
 
 
 def _arrivals(
-    levels: list[dict[int, tuple[int, int, int]]], m: int, feeders: list[list[int]]
+    levels: list[dict[int, tuple[int, int, int]]],
+    m: int,
+    preimages: list[list[list[int]]],
+    s: int,
 ) -> list[tuple[int, int, int]]:
     """For each digit d, the smallest length-m word from the tables' start
-    whose final edge leaves a state of feeders[d], as (rank of its first
-    m-1 digits, d, that state); sorted, which orders the words."""
+    whose final edge enters s on d, as (rank of its first m-1 digits, d,
+    the state that edge leaves); sorted, which orders the words."""
     level = levels[m - 1]
     found = []
-    for dig, rs in enumerate(feeders):
-        reached = [(level[r][0], r) for r in rs if r in level]
+    for dig, preimage in enumerate(preimages):
+        reached = [(level[r][0], r) for r in preimage[s] if r in level]
         if reached:
             rank, r = min(reached)
             found.append((rank, dig, r))
@@ -267,7 +259,7 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     state is a candidate and no bound cuts its search short.
     """
     n, k = len(a.states), a.k
-    sources = _sources_by_label(a)
+    preimages = _preimages(a.transition, k)
     _, dist0 = _bfs(a.transition, a.initial)
     entry: list[list[int | None]] = [[None] * k for _ in range(n)]
     for r, row in enumerate(a.transition):
@@ -292,7 +284,7 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
             break
         limit = None if best_total is None else best_total - entry_min - 1
         _, dist_s = _bfs(a.transition, s, limit)
-        loop = [_arrival(dist_s, sources[s][dig]) for dig in range(k)]
+        loop = [_arrival(dist_s, preimage[s]) for preimage in preimages]
         total = min(
             (
                 e + lp
@@ -321,14 +313,14 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
             continue
         from_s = _lexmin_levels(a, s, length - entry_min - 1)
         for m2 in range(1, length - entry_min + 1):
-            found = _arrivals(from_s, m2, sources[s])
+            found = _arrivals(from_s, m2, preimages, s)
             if found:
                 tails[s, m2] = (from_s, found)
     from_initial = _lexmin_levels(a, a.initial, length - min(m2 for _, m2 in tails) - 1)
     best_word: Word | None = None
     for (s, m2), (from_s, found) in tails.items():
         m1 = length - m2
-        heads = _arrivals(from_initial, m1, sources[s])
+        heads = _arrivals(from_initial, m1, preimages, s)
         # The smallest head that a tail on another digit can follow, with
         # the smallest such tail; only that word is rebuilt.
         pair = next(((h, t) for h in heads for t in found if t[1] != h[1]), None)
@@ -345,13 +337,13 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
             best_word = cand
 
     assert best_word is not None and len(best_word) == length
-    run = a.run_path(best_word)
-    collide = run.vertices[-1]
+    vertices = a.run_path(best_word)
+    collide = vertices[-1]
     b = length - 1
     a_pos = next(
         j
         for j in range(b)
-        if run.vertices[j + 1] == collide and best_word[j] != best_word[b]
+        if vertices[j + 1] == collide and best_word[j] != best_word[b]
     )
     return PathWitness(best_word, collide, a_pos, b)
 

@@ -237,6 +237,19 @@ def residue_machine(k: int, p: int) -> Dfao:
     )
 
 
+def digit_sum_machine(k: int, m: int) -> Dfao:
+    """The base-k digit sum of n mod m: delta(r, d) = (r + d) mod m, output
+    r at state r.  Digit 1 enters s1 and digit 0 then loops on s1, so (1, 0)
+    clashes and the machine is opaque (1/2) for all k, m >= 2; k = m = 2 is
+    Thue-Morse and k = m = 3 the ternary digit sum."""
+    return make_dfao(
+        k,
+        {f"s{r}": tuple(f"s{(r + d) % m}" for d in range(k)) for r in range(m)},
+        "s0",
+        {f"s{r}": str(r) for r in range(m)},
+    )
+
+
 @st.composite
 def small_automata(draw):
     k = draw(st.sampled_from((2, 3)))
@@ -351,13 +364,13 @@ def exhaustive_shortest_clash(a: Automaton, max_len: int):
             hit = find_clash(a, word)
             if hit is not None:
                 collide, _pos_a, pos_b = hit
-                run = a.run_path(word)
+                vertices = a.run_path(word)
                 b = len(word) - 1
                 assert pos_b == b, "a first clash before the last edge means a shorter word clashes"
                 a_pos = next(
                     j
                     for j in range(b)
-                    if run.vertices[j + 1] == collide and word[j] != word[b]
+                    if vertices[j + 1] == collide and word[j] != word[b]
                 )
                 return word, collide, a_pos, b
     return None

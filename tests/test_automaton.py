@@ -94,11 +94,14 @@ def test_step_and_run_path():
     assert step(a, index(a, "D"), (0, 1, 0, 1)) == index(a, "D")
 
     tern = build("ternary_digit_sum")
-    run = tern.automaton.run_path((1, 0))
-    names = tuple(tern.states[v] for v in run.vertices)
-    assert names == ("A", "B", "B")
-    assert run.edges == ((0, 1, 1), (1, 0, 1))
-    assert run.word == (1, 0)
+    vertices = tern.automaton.run_path((1, 0))
+    assert vertices == (0, 1, 1)
+    assert tuple(tern.states[v] for v in vertices) == ("A", "B", "B")
+    assert tern.automaton.run_path(()) == (tern.initial,)
+    tm = thue_morse().automaton
+    for word in ((2,), (0, 1, -1)):
+        with pytest.raises(DigitOutOfRange, match=rf"^digit {word[-1]} out of range for k=2$"):
+            tm.run_path(word)
 
     with pytest.raises(DigitOutOfRange):
         step(a, a.initial, (2,))

@@ -11,7 +11,7 @@ from dfao.autfile import serialize
 from dfao.automaton import make_dfao
 from dfao import cli
 from dfao.cli import main
-from dfao.corpus import build, names
+from dfao.corpus import ENTRIES, build
 from helpers import residue_machine
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -156,10 +156,10 @@ def test_dot_witness_note_when_transparent(capsys):
 def test_corpus_table(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out
-    for name in names():
-        assert name in out
+    for ent in ENTRIES:
+        assert ent.name in out
     assert "FAIL" not in out
-    assert out.count("PASS") == len(names())
+    assert out.count("PASS") == len(ENTRIES)
 
 
 def test_corpus_json(capsys):

@@ -187,12 +187,12 @@ def test_witness_fields_are_consistent():
         w = shortest_inhomogeneous_path(a)
         if w is None:
             continue
-        run = a.run_path(w.word)
+        vertices = a.run_path(w.word)
         assert w.position_b == len(w.word) - 1
         assert 0 <= w.position_a < w.position_b
         assert w.word[w.position_a] != w.word[w.position_b]
-        assert run.vertices[w.position_a + 1] == w.collide_state
-        assert run.vertices[w.position_b + 1] == w.collide_state
+        assert vertices[w.position_a + 1] == w.collide_state
+        assert vertices[w.position_b + 1] == w.collide_state
 
 
 def test_witness_matches_exhaustive_lexmin():

@@ -9,16 +9,14 @@ from dfao.automaton import Automaton, make_dfao
 from dfao.corpus import build
 from dfao.dyadic import ZERO, pow2inv
 from dfao.errors import DigitOutOfRange, InstanceTooLarge
-from dfao.opacity import compute_opacity, longest_homogeneous_prefix
+from dfao.opacity import compute_opacity
 from dfao.oracle import (
     _masks,
     brute_force_opacity,
-    inf_over_outputs,
     oracle_bound,
     per_word_infs,
 )
 from helpers import (
-    all_words,
     cycle_chain,
     prefix_distance,
     pure_python_inf,
@@ -68,53 +66,28 @@ def test_readout():
         readout(tm, (0, 2), (0, 1))
 
 
-def test_inf_over_outputs_known_values():
-    tm = build("thue_morse").automaton
-    assert inf_over_outputs(tm, ()) == ZERO
-    assert inf_over_outputs(tm, (0,)) == ZERO
-    assert inf_over_outputs(tm, (1, 0)) == pow2inv(1)
+def test_per_word_infs_known_values():
+    tm = dict(per_word_infs(build("thue_morse").automaton, 2))
+    assert tm[(0,)] == ZERO
+    assert tm[(1, 0)] == pow2inv(1)
 
-    pd = build("period_doubling").automaton
-    assert inf_over_outputs(pd, (0, 1, 1)) == pow2inv(2)
+    pd = dict(per_word_infs(build("period_doubling").automaton, 3))
+    assert pd[(0, 1, 1)] == pow2inv(2)
 
-    gs = build("golay_shapiro").automaton
-    for m in range(7):
-        for word in all_words(2, m):
-            assert inf_over_outputs(gs, word) == ZERO
-
-    for word in ((2,), (0, 1, -1)):
-        with pytest.raises(DigitOutOfRange, match=rf"^digit {word[-1]} out of range for k=2$"):
-            inf_over_outputs(tm, word)
-
-
-def test_inf_over_outputs_matches_pure_python():
-    rng = random.Random(101)
-    for _ in range(15):
-        d = random_dfao(rng, max_states=4)
-        a = d.automaton
-        for m in range(0, 5):
-            for word in all_words(a.k, m):
-                assert inf_over_outputs(a, word) == pure_python_inf(a, word)
-
-
-def test_inf_over_outputs_equals_homogeneous_prefix_formula():
-    rng = random.Random(103)
-    for _ in range(25):
-        a = random_dfao(rng, max_states=5).automaton
-        for m in range(0, 6):
-            for word in all_words(a.k, m):
-                h = longest_homogeneous_prefix(a, word)
-                expected = ZERO if h == len(word) else pow2inv(h)
-                assert inf_over_outputs(a, word) == expected
+    gs = list(per_word_infs(build("golay_shapiro").automaton, 6))
+    assert len(gs) == sum(2**m for m in range(1, 7))
+    assert all(value == ZERO for _word, value in gs)
 
 
 def test_per_word_infs_matches_single_calls():
-    a = build("period_doubling").automaton
-    table = dict(per_word_infs(a, 4))
-    assert len(table) == 2 + 4 + 8 + 16
-    for word, value in table.items():
-        assert value == inf_over_outputs(a, word)
-    assert table[(0, 1, 1)] == pow2inv(2)
+    machines = [build("period_doubling").automaton]
+    rng = random.Random(101)
+    machines += [random_dfao(rng, max_states=4).automaton for _ in range(15)]
+    for a in machines:
+        table = dict(per_word_infs(a, 4))
+        assert len(table) == sum(a.k**m for m in range(1, 5))
+        for word, value in table.items():
+            assert value == pure_python_inf(a, word), (a, word)
 
 
 def test_brute_force_on_corpus():
@@ -157,8 +130,8 @@ def test_oracle_bound_values():
 
 
 def test_assignment_budget_guard():
-    """The relabeling budget comes before the table caps, a bad digit and
-    the empty word, with the same message on every call."""
+    """The relabeling budget comes before the table caps, with the same
+    message on every call."""
     n = 21  # 2**21 relabelings exceed the 10**6 budget
     rows = {f"q{i}": (f"q{(i + 1) % n}", f"q{(i + 1) % n}") for i in range(n)}
     a = make_dfao(2, rows, "q0", {f"q{i}": "x" for i in range(n)}).automaton
@@ -169,9 +142,6 @@ def test_assignment_budget_guard():
                 brute_force_opacity(a, max_len)
             with pytest.raises(InstanceTooLarge, match=relabelings):
                 list(per_word_infs(a, max_len))
-        for word in ((), (0, 1), (0, 2)):
-            with pytest.raises(InstanceTooLarge, match=relabelings):
-                inf_over_outputs(a, word)
 
 
 def test_sweep_stops_at_first_clash_whatever_the_bound():
@@ -194,8 +164,6 @@ def test_relabeling_refusal_builds_no_table():
         brute_force_opacity(a, oracle_bound(a))
     with pytest.raises(InstanceTooLarge, match=relabelings):
         list(per_word_infs(a, oracle_bound(a)))
-    with pytest.raises(InstanceTooLarge, match=relabelings):
-        inf_over_outputs(a, (0, 1))
     after = _masks.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
@@ -234,8 +202,6 @@ def test_mask_table_budget_guard():
         r"over the budget of 67108864 bytes$"
     )
     for _ in range(2):  # nothing about the refusal is cached
-        with pytest.raises(InstanceTooLarge, match=table):
-            inf_over_outputs(a, (0, 1))
         for max_len in (2, oracle_bound(a)):
             with pytest.raises(InstanceTooLarge, match=table):
                 brute_force_opacity(a, max_len)
