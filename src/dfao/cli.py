@@ -24,7 +24,7 @@ from .opacity import AnalysisReport, PathWitness, analyze_sequence, shortest_inh
 from .oracle import brute_force_opacity, oracle_bound
 
 
-def _load(path: str) -> tuple[Dfao, tuple[str, ...]]:
+def _load(path: str) -> Dfao:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -37,7 +37,7 @@ def _load(path: str) -> tuple[Dfao, tuple[str, ...]]:
             f"warning: pruned unreachable states: {', '.join(pruned)}",
             file=sys.stderr,
         )
-    return dfao, pruned
+    return dfao
 
 
 def _format_word(word: tuple[int, ...], k: int) -> str:
@@ -94,7 +94,7 @@ def _report_json(
 
 
 def _cmd_analyze(args) -> int:
-    dfao, _ = _load(args.file)
+    dfao = _load(args.file)
     report = analyze_sequence(dfao)
     oracle_result = None
     oracle_note = None
@@ -154,7 +154,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    dfao, _ = _load(args.file)
+    dfao = _load(args.file)
     fm = intrinsic_automaton(dfao)
     text = serialize(fm.target)
     mapping_lines = [
@@ -173,13 +173,13 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    dfao, _ = _load(args.file)
+    dfao = _load(args.file)
     print(args.sep.join(dfao.generate(args.count)))
     return 0
 
 
 def _cmd_dot(args) -> int:
-    dfao, _ = _load(args.file)
+    dfao = _load(args.file)
     witness = None
     if args.witness:
         witness = shortest_inhomogeneous_path(dfao.automaton)
@@ -202,9 +202,7 @@ def _cmd_corpus(args) -> int:
                     "classification": r.report.classification.value,
                     "opacity": _fraction_json(r.report.opacity.as_fraction()),
                     "complexity": _fraction_json(r.report.complexity),
-                    "witness_length": (
-                        None if r.report.witness is None else len(r.report.witness.word)
-                    ),
+                    "witness_length": r.report.opacity.witness_length,
                     "oracle_length": r.oracle_length,
                     "oracle_value": _dyadic_json(r.oracle_value),
                     "sequence_ok": r.sequence_ok,
@@ -235,11 +233,7 @@ def _cmd_corpus(args) -> int:
                     r.report.classification.value,
                     str(r.report.opacity),
                     str(r.report.complexity),
-                    (
-                        "-"
-                        if r.report.witness is None
-                        else str(len(r.report.witness.word))
-                    ),
+                    str(r.report.opacity.witness_length or "-"),
                     "agree" if r.oracle_ok else "MISMATCH",
                     "n/a" if r.sequence_ok is None else ("ok" if r.sequence_ok else "FAIL"),
                     "PASS" if r.passed else "FAIL",
@@ -252,8 +246,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    d1, _ = _load(args.file1)
-    d2, _ = _load(args.file2)
+    d1 = _load(args.file1)
+    d2 = _load(args.file2)
     if are_equivalent(d1, d2):
         print("equivalent")
         return 0
@@ -322,10 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DfaoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DfaoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

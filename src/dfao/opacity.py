@@ -98,6 +98,17 @@ class Opacity:
         """True at the maximum value 1/2."""
         return self.witness_length == 2
 
+    @property
+    def classification(self) -> Classification:
+        if self.is_transparent:
+            return Classification.TRANSPARENT
+        return Classification.OPAQUE if self.is_opaque else Classification.INTERMEDIATE
+
+    @property
+    def complexity(self) -> Fraction:
+        """The value rescaled by its maximum 1/2, so it lies in [0, 1]."""
+        return self.as_fraction() / MAX_OPACITY
+
     def as_dyadic(self) -> DyadicDistance:
         if self.witness_length is None:
             return ZERO
@@ -392,24 +403,16 @@ def analyze_sequence(d: Dfao) -> AnalysisReport:
 
     The machine is zero-normalized and minimized first; opacity of a
     sequence is by definition the opacity of that intrinsic machine.
-    The complexity field rescales opacity by its maximum 1/2, giving a
-    value in [0, 1].
     """
     fm = intrinsic_automaton(d)
     target = fm.target
     a = target.automaton
     witness = shortest_inhomogeneous_path(a)
     opacity = Opacity(None if witness is None else len(witness.word))
-    if opacity.is_transparent:
-        classification = Classification.TRANSPARENT
-    elif opacity.is_opaque:
-        classification = Classification.OPAQUE
-    else:
-        classification = Classification.INTERMEDIATE
     return AnalysisReport(
         opacity=opacity,
-        complexity=opacity.as_fraction() / MAX_OPACITY,
-        classification=classification,
+        complexity=opacity.complexity,
+        classification=opacity.classification,
         witness=witness,
         state_homogeneity=state_homogeneity(a),
         strictly_accessible=a.is_strictly_accessible(),

@@ -250,6 +250,34 @@ def digit_sum_machine(k: int, m: int) -> Dfao:
     )
 
 
+def block_parity_machine(k: int, block: tuple[int, ...], tokens: tuple[str, str]) -> Dfao:
+    """Parity of the number of overlapping occurrences of `block` in the
+    base-k digits of n, output tokens[parity].  State (j, parity) has read
+    digits whose longest suffix that is a prefix of `block` has length j <
+    len(block); a full match flips the parity and falls back to the longest
+    proper border.  block[0] != 0 keeps leading zeros from matching, and
+    k = 2 with block (1, 1) is Golay-Shapiro."""
+    assert block and block[0] != 0
+
+    def longest_prefix_suffix(seq: tuple[int, ...], most: int) -> int:
+        return next(m for m in range(min(len(seq), most), -1, -1)
+                    if seq[len(seq) - m:] == block[:m])
+
+    size = len(block)
+    rows = {}
+    for j in range(size):
+        for parity in (0, 1):
+            row = []
+            for d in range(k):
+                nxt = longest_prefix_suffix(block[:j] + (d,), size)
+                flip = parity
+                if nxt == size:
+                    flip, nxt = 1 - parity, longest_prefix_suffix(block, size - 1)
+                row.append(f"q{nxt}p{flip}")
+            rows[f"q{j}p{parity}"] = tuple(row)
+    return make_dfao(k, rows, "q0p0", {name: tokens[int(name[-1])] for name in rows})
+
+
 @st.composite
 def small_automata(draw):
     k = draw(st.sampled_from((2, 3)))

@@ -1,20 +1,44 @@
 """The paper's application families, pinned only where the homogeneity
-argument in `dfao.opacity`'s docstring proves the value."""
+argument in `dfao.opacity`'s docstring proves the value or the oracle
+has checked it."""
 
 from fractions import Fraction
 
+import pytest
+
+from dfao.automaton import are_equivalent
+from dfao.corpus import golay_shapiro
 from dfao.dyadic import ZERO, pow2inv
+from dfao.errors import InstanceTooLarge
 from dfao.opacity import Classification, analyze_sequence, is_homogeneous_automaton
 from dfao.oracle import brute_force_opacity, oracle_bound
-from helpers import digit_sum_machine, residue_machine
+from helpers import block_parity_machine, digit_sum_machine, residue_machine
+
+
+def _digits(n: int, k: int) -> tuple[int, ...]:
+    """Base-k digits of n, most significant first; () for 0."""
+    out = []
+    while n:
+        n, d = divmod(n, k)
+        out.append(d)
+    return tuple(reversed(out))
 
 
 def _digit_sum(n: int, k: int) -> int:
-    total = 0
-    while n:
-        n, d = divmod(n, k)
-        total += d
-    return total
+    return sum(_digits(n, k))
+
+
+def _block_count(n: int, k: int, block: tuple[int, ...]) -> int:
+    ds, size = _digits(n, k), len(block)
+    return sum(ds[i:i + size] == block for i in range(len(ds) - size + 1))
+
+
+def _analysed_and_oracle(d):
+    """analyze_sequence's opacity and the oracle's on the intrinsic machine;
+    lets InstanceTooLarge through when the oracle refuses."""
+    report = analyze_sequence(d)
+    a = report.intrinsic.automaton
+    return report.opacity.as_dyadic(), brute_force_opacity(a, oracle_bound(a))
 
 
 def test_digit_sum_machine_matches_closed_form():
@@ -51,3 +75,57 @@ def test_residue_machine_is_transparent_when_k_divides_p():
     for k, p in ((2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (4, 4)):
         a = residue_machine(k, p).automaton
         assert brute_force_opacity(a, oracle_bound(a)) == ZERO, (k, p)
+
+
+# The n mod p cells whose sweep to the bound the oracle refuses: the table
+# caps or the relabeling budget.  A change to either shows up here.
+RESIDUE_REFUSED = {
+    (2, 10), (2, 12), (3, 6), (3, 9), (3, 12), (4, 8), (4, 10), (4, 11), (4, 12),
+}
+
+
+def test_residue_machine_matches_oracle():
+    """Every n mod p cell the oracle answers agrees with the structural
+    analysis; no value is pinned for k not dividing p."""
+    for k in (2, 3, 4):
+        for p in range(1, 13):
+            d = residue_machine(k, p)
+            if (k, p) in RESIDUE_REFUSED:
+                with pytest.raises(InstanceTooLarge):
+                    _analysed_and_oracle(d)
+            else:
+                analysed, oracle = _analysed_and_oracle(d)
+                assert analysed == oracle, (k, p)
+
+
+# (k, block) -> opacity of the block-count parity sequence, each checked
+# against the oracle in test_block_parity_matches_oracle.
+BLOCK_PARITY = {
+    (2, (1,)): pow2inv(1),
+    (2, (1, 0)): ZERO,
+    (2, (1, 1)): ZERO,
+    (2, (1, 0, 1)): ZERO,
+    (2, (1, 1, 0)): ZERO,
+    (2, (1, 1, 1)): ZERO,
+    (2, (1, 0, 1, 1)): ZERO,
+    (3, (1,)): pow2inv(1),
+    (3, (2, 0)): pow2inv(1),
+    (3, (1, 1)): pow2inv(1),
+    (4, (3, 2)): pow2inv(1),
+}
+
+
+def test_block_parity_machine_matches_closed_form():
+    for k, block in BLOCK_PARITY:
+        expected = tuple(str(_block_count(n, k, block) % 2) for n in range(1000))
+        assert block_parity_machine(k, block, ("0", "1")).generate(1000) == expected, (k, block)
+
+
+def test_block_parity_of_11_is_golay_shapiro():
+    assert are_equivalent(block_parity_machine(2, (1, 1), ("1", "-1")), golay_shapiro())
+
+
+def test_block_parity_matches_oracle():
+    for (k, block), opacity in BLOCK_PARITY.items():
+        analysed, oracle = _analysed_and_oracle(block_parity_machine(k, block, ("0", "1")))
+        assert analysed == oracle == opacity, (k, block)

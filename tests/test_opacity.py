@@ -63,6 +63,14 @@ def test_opacity_value_object():
     with pytest.raises(ValueError):
         Opacity(1)
     assert MAX_OPACITY == Fraction(1, 2)
+    for wl, classification, complexity in (
+        (None, Classification.TRANSPARENT, Fraction(0)),
+        (2, Classification.OPAQUE, Fraction(1)),
+        (3, Classification.INTERMEDIATE, Fraction(1, 2)),
+        (5, Classification.INTERMEDIATE, Fraction(1, 8)),
+    ):
+        assert Opacity(wl).classification is classification, wl
+        assert Opacity(wl).complexity == complexity, wl
 
 
 def test_state_homogeneity_golay_shapiro():
