@@ -18,7 +18,7 @@ from .automaton import (
     make_dfao,
     validate,
 )
-from .dyadic import MAX_EXPONENT, ZERO, DyadicDistance, pow2inv
+from .dyadic import ZERO, DyadicDistance, pow2inv
 from .errors import (
     AutSyntaxError,
     BadRadix,
@@ -40,7 +40,6 @@ from .opacity import (
     MAX_OPACITY,
     AnalysisReport,
     Classification,
-    Opacity,
     PathWitness,
     StateHomogeneity,
     analyze_sequence,
@@ -67,7 +66,6 @@ __all__ = [
     "are_equivalent",
     "make_dfao",
     "validate",
-    "MAX_EXPONENT",
     "ZERO",
     "DyadicDistance",
     "pow2inv",
@@ -93,7 +91,6 @@ __all__ = [
     "MAX_OPACITY",
     "AnalysisReport",
     "Classification",
-    "Opacity",
     "PathWitness",
     "StateHomogeneity",
     "analyze_sequence",

@@ -49,10 +49,6 @@ def _fraction_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _dyadic_json(value: DyadicDistance) -> dict:
-    return _fraction_json(value.as_fraction())
-
-
 def _witness_json(witness: PathWitness, intrinsic: Dfao) -> dict:
     return {
         "word": _format_word(witness.word, intrinsic.k),
@@ -89,7 +85,7 @@ def _report_json(
     obj["minimized_states"] = report.states_count
     if oracle_result is not None:
         bound, value = oracle_result
-        obj["oracle"] = {"L": bound, "value": _dyadic_json(value)}
+        obj["oracle"] = {"L": bound, "value": _fraction_json(value.as_fraction())}
     return obj
 
 
@@ -137,14 +133,8 @@ def _cmd_analyze(args) -> int:
     rows.append(("inhomogeneous states", ", ".join(_inhomogeneous_names(report)) or "none"))
     if oracle_result is not None:
         bound, value = oracle_result
-        agrees = value == report.opacity.as_dyadic()
-        rows.append(
-            (
-                "oracle",
-                f"{value} at length bound {bound} "
-                f"({'agrees' if agrees else 'DISAGREES'})",
-            )
-        )
+        verdict = "agrees" if value == report.opacity else "DISAGREES"
+        rows.append(("oracle", f"{value} at length bound {bound} ({verdict})"))
     elif oracle_note is not None:
         rows.append(("oracle", f"skipped: {oracle_note}"))
     width = max(len(label) for label, _ in rows)
@@ -170,6 +160,16 @@ def _cmd_minimize(args) -> int:
         for line in mapping_lines:
             print(line, file=sys.stderr)
     return 0
+
+
+def _term_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {count}")
+    return count
 
 
 def _cmd_generate(args) -> int:
@@ -204,7 +204,7 @@ def _cmd_corpus(args) -> int:
                     "complexity": _fraction_json(r.report.complexity),
                     "witness_length": r.report.opacity.witness_length,
                     "oracle_length": r.oracle_length,
-                    "oracle_value": _dyadic_json(r.oracle_value),
+                    "oracle_value": _fraction_json(r.oracle_value.as_fraction()),
                     "sequence_ok": r.sequence_ok,
                     "pass": r.passed,
                 }
@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="print the first terms of the sequence")
     p.add_argument("file")
-    p.add_argument("-n", "--count", type=int, required=True, help="number of terms")
+    p.add_argument("-n", "--count", type=_term_count, required=True, help="number of terms")
     p.add_argument("--sep", default=" ", help="term separator (default: space)")
     p.set_defaults(func=_cmd_generate)
 

@@ -1,8 +1,9 @@
 """Bundled example machines with known opacity values and sequences.
 
-Each entry stores one golden answer, the opacity of its sequence, next to
-the state count of its intrinsic machine; the classification, complexity
-and witness length a report shows all follow from the opacity (`Opacity`).
+Each entry stores one golden answer, the opacity of its sequence as a
+`DyadicDistance`, next to the state count of its intrinsic machine; the
+classification, complexity and witness length a report shows all follow
+from the opacity.
 The whole pipeline is checked against them in one sweep: structural
 analysis, the brute-force oracle, and, where an independent closed form
 exists, the generated sequence itself.
@@ -325,7 +326,7 @@ class RowResult:
     @property
     def analysis_ok(self) -> bool:
         e, r = self.entry, self.report
-        return r.opacity.as_dyadic() == e.opacity and r.states_count == e.states
+        return r.opacity == e.opacity and r.states_count == e.states
 
     @property
     def oracle_ok(self) -> bool:

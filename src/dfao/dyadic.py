@@ -4,6 +4,9 @@ The prefix metric on words takes only these values, so representing them
 as an optional integer exponent keeps every comparison exact.  Ordering
 follows the numeric value: the zero distance sorts below everything and
 larger exponents sort below smaller ones.
+
+Opacity is a value of this metric too, zero or 2**-(n-1) for a shortest
+clashing word of length n, so this class holds it as well.
 """
 
 from __future__ import annotations
@@ -11,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-
-# Exponents stay well inside machine-integer range; words long enough to
-# exceed this are rejected by size guards long before they get here.
-MAX_EXPONENT = 2**31 - 1
 
 
 @total_ordering
@@ -25,13 +24,27 @@ class DyadicDistance:
     exponent: int | None
 
     def __post_init__(self):
-        e = self.exponent
-        if e is not None and not 0 <= e <= MAX_EXPONENT:
-            raise ValueError(f"exponent out of range: {e}")
+        if self.exponent is not None and self.exponent < 0:
+            raise ValueError(f"exponent out of range: {self.exponent}")
 
     @property
-    def is_zero(self) -> bool:
+    def is_transparent(self) -> bool:
+        """True at zero, the opacity of a machine with no clashing word."""
         return self.exponent is None
+
+    @property
+    def is_opaque(self) -> bool:
+        """True at 1/2, the largest opacity (a clashing word of length 2)."""
+        return self.exponent == 1
+
+    @property
+    def witness_length(self) -> int | None:
+        """Length of a shortest clashing word at this opacity; None at zero."""
+        return None if self.exponent is None else self.exponent + 1
+
+    def as_dyadic(self) -> DyadicDistance:
+        """The value itself: opacities and distances share this class."""
+        return self
 
     def as_fraction(self) -> Fraction:
         if self.exponent is None:

@@ -76,52 +76,6 @@ class Classification(Enum):
 
 
 @dataclass(frozen=True)
-class Opacity:
-    """Opacity value: zero, or 2**-(witness_length - 1).
-
-    witness_length is the length of the shortest clashing word (always
-    >= 2 when present); None means the machine is transparent.
-    """
-
-    witness_length: int | None
-
-    def __post_init__(self):
-        if self.witness_length is not None and self.witness_length < 2:
-            raise ValueError(f"witness length must be >= 2, got {self.witness_length}")
-
-    @property
-    def is_transparent(self) -> bool:
-        return self.witness_length is None
-
-    @property
-    def is_opaque(self) -> bool:
-        """True at the maximum value 1/2."""
-        return self.witness_length == 2
-
-    @property
-    def classification(self) -> Classification:
-        if self.is_transparent:
-            return Classification.TRANSPARENT
-        return Classification.OPAQUE if self.is_opaque else Classification.INTERMEDIATE
-
-    @property
-    def complexity(self) -> Fraction:
-        """The value rescaled by its maximum 1/2, so it lies in [0, 1]."""
-        return self.as_fraction() / MAX_OPACITY
-
-    def as_dyadic(self) -> DyadicDistance:
-        if self.witness_length is None:
-            return ZERO
-        return pow2inv(self.witness_length - 1)
-
-    def as_fraction(self) -> Fraction:
-        return self.as_dyadic().as_fraction()
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())
-
-
-@dataclass(frozen=True)
 class StateHomogeneity:
     """Whole-graph verdict for one state.
 
@@ -146,7 +100,10 @@ class PathWitness:
     word: Word
     collide_state: int
     position_a: int
-    position_b: int
+
+    @property
+    def position_b(self) -> int:
+        return len(self.word) - 1
 
 
 @dataclass(frozen=True)
@@ -154,18 +111,37 @@ class AnalysisReport:
     """Opacity analysis of the sequence generated by a machine.
 
     All fields describe the intrinsic machine (the canonical minimal
-    zero-normalized form), which is included as `intrinsic`.
+    zero-normalized form), which is included as `intrinsic`; the opacity
+    and everything read off it derive from the witness.
     """
 
-    opacity: Opacity
-    complexity: Fraction
-    classification: Classification
     witness: PathWitness | None
     state_homogeneity: tuple[StateHomogeneity, ...]
     strictly_accessible: bool
-    states_count: int
-    k: int
     intrinsic: Dfao
+
+    @property
+    def opacity(self) -> DyadicDistance:
+        return _opacity(self.witness)
+
+    @property
+    def classification(self) -> Classification:
+        if self.opacity.is_transparent:
+            return Classification.TRANSPARENT
+        return Classification.OPAQUE if self.opacity.is_opaque else Classification.INTERMEDIATE
+
+    @property
+    def complexity(self) -> Fraction:
+        """The opacity rescaled by its maximum 1/2, so it lies in [0, 1]."""
+        return self.opacity.as_fraction() / MAX_OPACITY
+
+    @property
+    def states_count(self) -> int:
+        return len(self.intrinsic.states)
+
+    @property
+    def k(self) -> int:
+        return self.intrinsic.k
 
 
 def _arrival(dist: list[int | None], feeders: list[int]) -> int | None:
@@ -356,13 +332,17 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         for j in range(b)
         if vertices[j + 1] == collide and best_word[j] != best_word[b]
     )
-    return PathWitness(best_word, collide, a_pos, b)
+    return PathWitness(best_word, collide, a_pos)
 
 
-def compute_opacity(a: Automaton) -> Opacity:
+def _opacity(witness: PathWitness | None) -> DyadicDistance:
+    """Zero, or 2**-(n-1) for a shortest clashing word of length n."""
+    return ZERO if witness is None else pow2inv(len(witness.word) - 1)
+
+
+def compute_opacity(a: Automaton) -> DyadicDistance:
     """Exact opacity from the shortest clashing word."""
-    witness = shortest_inhomogeneous_path(a)
-    return Opacity(None if witness is None else len(witness.word))
+    return _opacity(shortest_inhomogeneous_path(a))
 
 
 def is_opaque_quick(a: Automaton) -> bool:
@@ -407,16 +387,9 @@ def analyze_sequence(d: Dfao) -> AnalysisReport:
     fm = intrinsic_automaton(d)
     target = fm.target
     a = target.automaton
-    witness = shortest_inhomogeneous_path(a)
-    opacity = Opacity(None if witness is None else len(witness.word))
     return AnalysisReport(
-        opacity=opacity,
-        complexity=opacity.complexity,
-        classification=opacity.classification,
-        witness=witness,
+        witness=shortest_inhomogeneous_path(a),
         state_homogeneity=state_homogeneity(a),
         strictly_accessible=a.is_strictly_accessible(),
-        states_count=len(a.states),
-        k=a.k,
         intrinsic=target,
     )

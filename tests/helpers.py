@@ -229,11 +229,18 @@ def residue_machine(k: int, p: int) -> Dfao:
     state r.  State r is entered only on digit r mod k, so it is
     transparent when k divides p; p = 10, k = 2 is the 10-state binary
     de Bruijn machine."""
+    return periodic_machine(k, tuple(str(r) for r in range(p)))
+
+
+def periodic_machine(k: int, pattern: tuple[str, ...]) -> Dfao:
+    """Term n is pattern[n mod q], q = len(pattern): the n mod q machine in
+    base k, delta(r, d) = (r k + d) mod q, with output pattern[r] at state r."""
+    q = len(pattern)
     return make_dfao(
         k,
-        {f"r{r}": tuple(f"r{(r * k + d) % p}" for d in range(k)) for r in range(p)},
+        {f"r{r}": tuple(f"r{(r * k + d) % q}" for d in range(k)) for r in range(q)},
         "r0",
-        {f"r{r}": str(r) for r in range(p)},
+        {f"r{r}": pattern[r] for r in range(q)},
     )
 
 

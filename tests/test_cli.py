@@ -262,6 +262,17 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_generate_rejects_a_negative_count(capsys):
+    assert main(["generate", aut("thue_morse"), "-n", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument -n/--count: must not be negative: -5" in err
+    assert main(["generate", aut("thue_morse"), "-n", "x"]) == 2
+    assert "argument -n/--count: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["generate", aut("thue_morse"), "-n", "0"]) == 0
+    assert capsys.readouterr().out == "\n"
+
+
 def test_shared_parser_matches_a_fresh_one(monkeypatch, capsys):
     calls = (
         ["generate", aut("thue_morse"), "-n", "4", "--sep", ","],

@@ -1,5 +1,6 @@
-"""Static check on the package source, with the standard library only:
-no module imports a name it never uses."""
+"""Static checks on the package source, with the standard library only:
+no module imports a name it never uses, and `dfao.__all__` lists exactly
+the names the package imports."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,19 @@ def test_no_module_imports_an_unused_name():
     assert len(modules) >= 10
     for path in modules:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name deleted from a module but left in __all__ fails here, not at
+    # `from dfao import *`
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(dfao.__all__) == sorted(imported | {"__version__"})
+    assert len(set(dfao.__all__)) == len(dfao.__all__)
+    for name in dfao.__all__:
+        assert hasattr(dfao, name), name

@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 
 from dfao.automaton import make_dfao
@@ -12,7 +11,6 @@ from dfao.dyadic import ZERO, pow2inv
 from dfao.opacity import (
     MAX_OPACITY,
     Classification,
-    Opacity,
     analyze_sequence,
     compute_opacity,
     is_homogeneous_automaton,
@@ -28,6 +26,7 @@ from helpers import (
     exhaustive_shortest_clash,
     index,
     random_dfao,
+    residue_machine,
     return_distance,
     small_automata,
     split_state,
@@ -53,24 +52,25 @@ def transparent_but_inhomogeneous():
 
 
 def test_opacity_value_object():
-    assert Opacity(None).is_transparent
-    assert Opacity(None).as_dyadic() == ZERO
-    assert Opacity(2).is_opaque
-    assert Opacity(2).as_fraction() == Fraction(1, 2)
-    assert Opacity(3).as_fraction() == Fraction(1, 4)
-    assert not Opacity(3).is_opaque and not Opacity(3).is_transparent
-    assert str(Opacity(4)) == "1/8"
-    with pytest.raises(ValueError):
-        Opacity(1)
+    """Opacity is a dyadic distance: its exponent is the witness length
+    minus one, and the report derives classification and complexity."""
+    assert ZERO.is_transparent and not ZERO.is_opaque
+    assert ZERO.witness_length is None and str(ZERO) == "0"
+    assert pow2inv(1).is_opaque and not pow2inv(1).is_transparent
+    assert pow2inv(1).witness_length == 2 and str(pow2inv(1)) == "1/2"
+    assert not pow2inv(3).is_opaque and not pow2inv(3).is_transparent
+    assert pow2inv(3).witness_length == 4 and str(pow2inv(3)) == "1/8"
     assert MAX_OPACITY == Fraction(1, 2)
-    for wl, classification, complexity in (
-        (None, Classification.TRANSPARENT, Fraction(0)),
-        (2, Classification.OPAQUE, Fraction(1)),
-        (3, Classification.INTERMEDIATE, Fraction(1, 2)),
-        (5, Classification.INTERMEDIATE, Fraction(1, 8)),
+    for d, wl, classification, complexity in (
+        (build("golay_shapiro"), None, Classification.TRANSPARENT, Fraction(0)),
+        (build("thue_morse"), 2, Classification.OPAQUE, Fraction(1)),
+        (build("period_doubling"), 3, Classification.INTERMEDIATE, Fraction(1, 2)),
+        (residue_machine(2, 15), 5, Classification.INTERMEDIATE, Fraction(1, 8)),
     ):
-        assert Opacity(wl).classification is classification, wl
-        assert Opacity(wl).complexity == complexity, wl
+        report = analyze_sequence(d)
+        assert report.opacity.witness_length == wl
+        assert report.classification is classification, wl
+        assert report.complexity == complexity, wl
 
 
 def test_state_homogeneity_golay_shapiro():
