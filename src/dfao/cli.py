@@ -152,7 +152,7 @@ def _cmd_minimize(args) -> int:
         for s in range(len(fm.source.states))
     ]
     if args.output is not None:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
         for line in mapping_lines:
             print(line)
     else:

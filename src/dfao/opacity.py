@@ -44,14 +44,20 @@ search stops at that depth.  Every total that does not exceed the running
 best is therefore exact, ties included, and the states whose total is the
 final n are exactly known.
 
-The witness is the lexicographically smallest entry+loop word of length
-n over those states and every split of n.  The smallest word of exact
-length m from a start into each state comes from rank tables: level m
-orders the states reachable in exactly m steps by their smallest word.
-All words of one level have the same length, so a word w + (d,) compares
-as the pair (rank of w, d); level m follows from level m-1 in one pass
-over it in rank order, with a parent pointer per state.  At each split
-only the one entry+loop pair that can win is rebuilt into a word.
+The witness is the lexicographically smallest clashing word of length n,
+and both of its halves are shortest words.  In such a word the final
+edge enters a state s on a digit y, and the first entry into s, at
+position a, is on a digit x != y: the first n-1 edges clash nowhere, so
+every earlier entry into s is on x.  The head word[:a+1] is at least
+entry(s, x) long and the tail at least loop(s, y), and their lengths add
+up to n <= entry(s, x) + loop(s, y), so both bounds are tight: the head
+is a shortest entry, the tail a shortest loop, s is the clash state and
+a is the head's length minus 1.  Breadth-first search that takes
+successors in digit order discovers states in the order of their
+smallest shortest words, by length and then lexicographically.  So heads
+of one length compare as (rank of the state their last edge leaves,
+digit), and so do tails, and a word is rebuilt backwards: a state's
+first-ranked in-neighbour is its parent on that word.
 """
 
 from __future__ import annotations
@@ -178,76 +184,50 @@ def is_homogeneous_automaton(a: Automaton) -> bool:
     return all(v.homogeneous for v in state_homogeneity(a))
 
 
-def _lexmin_levels(
-    a: Automaton, start: int, depth: int
-) -> list[dict[int, tuple[int, int, int]]]:
-    """levels[m][t] = (rank, parent, digit) for each state t reachable from
-    start in exactly m steps, for m up to depth.
-
-    The lexicographically smallest length-m word into t is the smallest
-    length-(m-1) word into `parent` followed by `digit`, and `rank` orders
-    these words among the states of level m.  Walking level m-1 in rank
-    order and each state's digits ascending visits the (rank, digit) keys
-    in increasing order, so the first key to hit t is its minimum and the
-    order of first hits is the rank order of level m: no sorting needed.
-    """
-    levels = [{start: (0, start, -1)}]
-    for _ in range(depth):
-        level: dict[int, tuple[int, int, int]] = {}
-        for r in levels[-1]:  # insertion order is rank order
-            for dig, t in enumerate(a.transition[r]):
-                if t not in level:
-                    level[t] = (len(level), r, dig)
-        levels.append(level)
-    return levels
-
-
-def _lexmin_word(levels: list[dict[int, tuple[int, int, int]]], m: int, t: int) -> Word:
-    """The smallest length-m word into t, rebuilt from parent pointers."""
-    word = []
-    for j in range(m, 0, -1):
-        _rank, t, dig = levels[j][t]
-        word.append(dig)
-    return tuple(reversed(word))
-
-
-def _arrivals(
-    levels: list[dict[int, tuple[int, int, int]]],
-    m: int,
-    preimages: list[list[list[int]]],
-    s: int,
+def _feeders(
+    rank: dict[int, int], preimages: list[list[list[int]]], t: int
 ) -> list[tuple[int, int, int]]:
-    """For each digit d, the smallest length-m word from the tables' start
-    whose final edge enters s on d, as (rank of its first m-1 digits, d,
-    the state that edge leaves); sorted, which orders the words."""
-    level = levels[m - 1]
+    """For each digit d that enters t from a state the search reached,
+    (rank of the first-ranked such state, d, that state); sorted, which
+    orders the smallest shortest words into t that end on each digit."""
     found = []
     for dig, preimage in enumerate(preimages):
-        reached = [(level[r][0], r) for r in preimage[s] if r in level]
+        reached = [(rank[r], r) for r in preimage[t] if r in rank]
         if reached:
-            rank, r = min(reached)
-            found.append((rank, dig, r))
+            rk, r = min(reached)
+            found.append((rk, dig, r))
     found.sort()
     return found
+
+
+def _word(rank: dict[int, int], preimages: list[list[list[int]]], t: int) -> Word:
+    """The smallest shortest word from the search's start into t, rebuilt
+    backwards through each state's first-ranked in-neighbour."""
+    word = []
+    while rank[t]:  # only the start has rank 0
+        _, dig, t = _feeders(rank, preimages, t)[0]
+        word.append(dig)
+    return tuple(reversed(word))
 
 
 def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     """Shortest clashing word, or None when the machine is transparent.
 
     Among all shortest clashing words the lexicographically smallest is
-    returned.  Minimal clashing words are exactly the entry+loop
-    concatenations described in the module docstring, so scanning every
-    split of the minimal length over exact-length lexicographic tables
-    covers all of them.
+    returned.  By the module docstring it is a shortest entry into some
+    tied state s followed by a shortest loop at s, so one breadth-first
+    search from the initial state and one from each tied state rank every
+    head and tail; at most one word is rebuilt per (state, head length).
 
     Cost: one depth-bounded breadth-first search, O(nk), per candidate
-    state.  That is O(n^2 k) on cycle chains: every state there is entered
-    on every digit and its shortest loop is the whole cycle, so every
-    state is a candidate and no bound cuts its search short.
+    state, and one more per tied state.  That is O(n^2 k) on cycle chains:
+    every state there is entered on every digit and its shortest loop is
+    the whole cycle, so every state is a candidate and no bound cuts its
+    search short.
     """
     n, k = len(a.states), a.k
     preimages = _preimages(a.transition, k)
-    _, dist0 = _bfs(a.transition, a.initial)
+    order0, dist0 = _bfs(a.transition, a.initial)
     entry: list[list[int | None]] = [[None] * k for _ in range(n)]
     for r, row in enumerate(a.transition):
         if dist0[r] is None:
@@ -287,52 +267,32 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         totals[s] = (total, entry_min)
         if best_total is None or total < best_total:
             best_total = total
-    if best_total is None:
-        return None
 
-    # Loops first: an entry takes at least entry_min edges, which bounds
-    # each loop table, and the shortest loop with a tail bounds the one
-    # entry table shared by all states.
-    length = best_total
-    tails = {}
+    # The smallest word over the tied states, from ranked heads and tails
+    # (module docstring); a word's head ends at its position_a.
+    rank0 = {t: i for i, t in enumerate(order0)}
+    best: PathWitness | None = None
     for s, (total, entry_min) in totals.items():
-        if total != length:
+        if total != best_total:
             continue
-        from_s = _lexmin_levels(a, s, length - entry_min - 1)
-        for m2 in range(1, length - entry_min + 1):
-            found = _arrivals(from_s, m2, preimages, s)
-            if found:
-                tails[s, m2] = (from_s, found)
-    from_initial = _lexmin_levels(a, a.initial, length - min(m2 for _, m2 in tails) - 1)
-    best_word: Word | None = None
-    for (s, m2), (from_s, found) in tails.items():
-        m1 = length - m2
-        heads = _arrivals(from_initial, m1, preimages, s)
-        # The smallest head that a tail on another digit can follow, with
-        # the smallest such tail; only that word is rebuilt.
-        pair = next(((h, t) for h in heads for t in found if t[1] != h[1]), None)
-        if pair is None:
-            continue
-        (_, d1, r1), (_, d2, r2) = pair
-        cand = (
-            _lexmin_word(from_initial, m1 - 1, r1)
-            + (d1,)
-            + _lexmin_word(from_s, m2 - 1, r2)
-            + (d2,)
-        )
-        if best_word is None or cand < best_word:
-            best_word = cand
-
-    assert best_word is not None and len(best_word) == length
-    vertices = a.run_path(best_word)
-    collide = vertices[-1]
-    b = length - 1
-    a_pos = next(
-        j
-        for j in range(b)
-        if vertices[j + 1] == collide and best_word[j] != best_word[b]
-    )
-    return PathWitness(best_word, collide, a_pos)
+        order_s, dist_s = _bfs(a.transition, s, best_total - entry_min - 1)
+        rank_s = {t: i for i, t in enumerate(order_s)}
+        tails = _feeders(rank_s, preimages, s)
+        built = set()
+        for _, x, p in _feeders(rank0, preimages, s):
+            head_len = dist0[p] + 1
+            tail = next(
+                ((y, q) for _, y, q in tails if y != x and head_len + dist_s[q] + 1 == best_total),
+                None,
+            )
+            if tail is None or head_len in built:
+                continue
+            built.add(head_len)
+            y, q = tail
+            word = _word(rank0, preimages, p) + (x,) + _word(rank_s, preimages, q) + (y,)
+            if best is None or word < best.word:
+                best = PathWitness(word, s, head_len - 1)
+    return best
 
 
 def _opacity(witness: PathWitness | None) -> DyadicDistance:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output shapes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,34 @@ def test_non_utf8_file_fails_cleanly(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and str(f) in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_minimize_writes_utf8_under_an_ascii_locale(tmp_path):
+    """`.aut` files are read as UTF-8, so `minimize -o` writes UTF-8 whatever
+    the locale.  The minimized machine renames its states, so the non-ASCII
+    text that reaches the file is an output token."""
+    src, out = tmp_path / "accent.aut", tmp_path / "out.aut"
+    src.write_text(
+        "k 2\nstates é B\ninitial é\noutput é é\noutput B 1\n"
+        "edge é 0 é\nedge é 1 B\nedge B 0 B\nedge B 1 é\n",
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONUTF8": "0", "LC_ALL": "C"}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dfao.cli", *args], capture_output=True, text=True,
+            encoding="utf-8", env=env,
+        )
+
+    result = run("minimize", str(src), "-o", str(out))
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    assert result.stdout == "é -> A\nB -> B\n"
+    assert "output A é\n" in out.read_text(encoding="utf-8")
+    result = run("analyze", "--json", str(out))
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    again = json.loads(run("analyze", "--json", str(src)).stdout)
+    assert json.loads(result.stdout) == {**again, "name": str(out)}
 
 
 def test_huge_radix_fails_cleanly_without_allocating(tmp_path):

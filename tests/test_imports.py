@@ -1,6 +1,6 @@
-"""Static checks on the package source, with the standard library only:
-no module imports a name it never uses, and `dfao.__all__` lists exactly
-the names the package imports."""
+"""Static checks on the package and test source, with the standard library
+only: no module imports a name it never uses, and `dfao.__all__` lists
+exactly the names the package imports."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ from pathlib import Path
 import dfao
 
 PACKAGE = Path(dfao.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +38,14 @@ def test_no_module_imports_an_unused_name():
     # __init__.py imports its names to re-export them
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) >= 10
+    for path in modules:
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_no_test_module_imports_an_unused_name():
+    # the acceptance gate is kept byte for byte, unused import included
+    modules = sorted(p for p in TESTS.glob("*.py") if p.name != "test_acceptance.py")
+    assert len(modules) >= 15
     for path in modules:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given
 
 from dfao.automaton import are_equivalent, make_dfao

@@ -221,6 +221,10 @@ def _assert_witness_is_exhaustive_lexmin(a, got, max_len):
     else:
         assert got is not None
         assert (got.word, got.collide_state, got.position_a, got.position_b) == expected
+        # both halves are shortest words (the lemma in opacity's docstring)
+        word, collide, pos_a = got.word, got.collide_state, got.position_a
+        assert pos_a + 1 == entry_distance(a, collide, word[pos_a])
+        assert len(word) - pos_a - 1 == return_distance(a, collide, word[-1])
 
 
 def test_witness_matches_exhaustive_lexmin_on_larger_machines():
@@ -272,7 +276,7 @@ def test_witness_tie_goes_to_the_smaller_word_not_the_earlier_state():
 def test_cycle_chain_witness_is_one_then_n_zeros():
     """The zero-normalized chain is entered on 1 at c1 and returns there
     only after a full lap of n edges, so the witness is as long as the
-    machine: the lexicographic tables run n levels deep."""
+    machine, a one-edge head followed by a shortest loop of n edges."""
     for k in (2, 3):
         for n in range(2, 41):
             rep = analyze_sequence(cycle_chain(n, k))
