@@ -102,7 +102,11 @@ class Automaton:
         return tuple(vertices)
 
     def is_strictly_accessible(self) -> bool:
-        """True when every state can be reached from every other state."""
+        """True when every state can be reached from every other state.
+
+        One forward and one backward search from the initial state: O(nk)
+        for n states.
+        """
         n = len(self.states)
         if len(_bfs(self.transition, self.initial)[0]) != n:
             return False
@@ -213,10 +217,12 @@ class Dfao:
         fresh = a.states[initial] + "'"
         while fresh in a.states:
             fresh += "'"
-        # The fresh state is index n in the search and first in the result.
-        n, outputs = len(rows), (*self.output, self.output[initial])
-        rows = (*rows, (n, *rows[initial][1:]))
-        return _prune(a.k, (*a.states, fresh), n, rows, outputs, initial_first=True)[0]
+        # The fresh state is declared first, so every old index moves up one.
+        n = len(rows)
+        _, shifted = _relabel_rows(rows, range(n), a.k, range(1, n + 1))
+        rows = ((0, *shifted[initial][1:]), *shifted)
+        outputs = (self.output[initial], *self.output)
+        return _prune(a.k, (fresh, *a.states), 0, rows, outputs)[0]
 
 
 @dataclass(frozen=True)
@@ -378,19 +384,13 @@ def _relabel_rows(
     return label, tuple(zip(*[flat] * k))
 
 
-def _prune(
-    k: int, states: Names, initial: int, rows: Rows, outputs: Names, initial_first: bool = False
-) -> tuple[Dfao, Names]:
-    """Drop states unreachable from `initial`, keeping declaration order,
-    except that `initial` comes first when initial_first is set.  Returns
-    the machine, built unchecked, and the dropped names.  O(nk)."""
+def _prune(k: int, states: Names, initial: int, rows: Rows, outputs: Names) -> tuple[Dfao, Names]:
+    """Drop states unreachable from `initial`, keeping declaration order.
+    Returns the machine, built unchecked, and the dropped names.  O(nk)."""
     order, dist = _bfs(rows, initial)
-    if len(order) == len(rows) and not initial_first:
+    if len(order) == len(rows):
         return _build(k, states, initial, rows, outputs), ()
     keep = [i for i, depth in enumerate(dist) if depth is not None]
-    if initial_first:
-        keep.remove(initial)
-        keep.insert(0, initial)
     remap, kept_rows = _relabel_rows(rows, keep, k)
     kept = tuple(map(states.__getitem__, keep))
     dfao = _build(k, kept, remap[initial], kept_rows, tuple(map(outputs.__getitem__, keep)))
@@ -421,7 +421,8 @@ def are_equivalent(d1: Dfao, d2: Dfao) -> bool:
 
     Breadth-first search over reachable state pairs of the product,
     comparing outputs at each pair.  The initial pair is included, so the
-    machines must also agree on term 0 of their sequences.
+    machines must also agree on term 0 of their sequences.  O(n1 n2 k) for
+    machines of n1 and n2 states: each reachable pair is expanded once.
     """
     if d1.k != d2.k:
         raise RadixMismatch(f"cannot compare machines over k={d1.k} and k={d2.k}")

@@ -26,7 +26,9 @@ from .oracle import brute_force_opacity, oracle_bound
 
 def _load(path: str) -> Dfao:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # A byte-order mark is not part of the description; strip it after
+        # decoding, so a decoding error counts bytes from the file's start.
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise AutSyntaxError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -1,12 +1,12 @@
 """Bundled example machines with known opacity values and sequences.
 
-Each entry stores one golden answer, the opacity of its sequence as a
-`DyadicDistance`, next to the state count of its intrinsic machine; the
-classification, complexity and witness length a report shows all follow
-from the opacity.
+Each entry holds its machine, built once at import, and one golden
+answer, the opacity of its sequence as a `DyadicDistance`, next to the
+state count of its intrinsic machine; the classification, complexity and
+witness length a report shows all follow from the opacity.
 The whole pipeline is checked against them in one sweep: structural
-analysis, the brute-force oracle, and, where an independent closed form
-exists, the generated sequence itself.
+analysis, the brute-force oracle, and, where the entry holds an
+independent evaluator of its terms, the generated sequence itself.
 """
 
 from __future__ import annotations
@@ -28,195 +28,6 @@ def one_state(k: int = 2) -> Dfao:
     sits in a state that loops on all the others.
     """
     return make_dfao(k, {"A": ("A",) * k}, "A", {"A": "0"})
-
-
-def identity2() -> Dfao:
-    """Two states echoing the last binary digit read; generates 0 1 0 1 ..."""
-    return make_dfao(
-        2,
-        {"A": ("A", "B"), "B": ("A", "B")},
-        "A",
-        {"A": "0", "B": "1"},
-    )
-
-
-def thue_morse() -> Dfao:
-    """Parity of ones in the binary expansion."""
-    return make_dfao(
-        2,
-        {"A": ("A", "B"), "B": ("B", "A")},
-        "A",
-        {"A": "0", "B": "1"},
-    )
-
-
-def period_doubling() -> Dfao:
-    """Parity of the 2-adic valuation of n + 1."""
-    return make_dfao(
-        2,
-        {"A": ("A", "B"), "B": ("A", "A")},
-        "A",
-        {"A": "0", "B": "1"},
-    )
-
-
-def golay_shapiro() -> Dfao:
-    """Sign sequence tracking pairs of adjacent ones in binary; values +-1."""
-    return make_dfao(
-        2,
-        {"A": ("A", "B"), "B": ("A", "C"), "C": ("D", "B"), "D": ("D", "C")},
-        "A",
-        {"A": "1", "B": "1", "C": "-1", "D": "-1"},
-    )
-
-
-def paperfolding() -> Dfao:
-    """Regular paperfolding sequence (creases of repeated halving); +-1."""
-    return make_dfao(
-        2,
-        {"A": ("A", "B"), "B": ("A", "C"), "C": ("D", "C"), "D": ("D", "B")},
-        "A",
-        {"A": "1", "B": "1", "C": "-1", "D": "-1"},
-    )
-
-
-def baum_sweet() -> Dfao:
-    """1 when the binary expansion has no odd-length block of zeros, else 0."""
-    return make_dfao(
-        2,
-        {"A": ("A", "B"), "B": ("C", "B"), "C": ("B", "D"), "D": ("D", "D")},
-        "A",
-        {"A": "1", "B": "1", "C": "0", "D": "0"},
-    )
-
-
-def hanoi() -> Dfao:
-    """Move sequence of the optimal three-peg tower transfer, six move types."""
-    return make_dfao(
-        2,
-        {
-            "A": ("A", "D"),
-            "B": ("A", "C"),
-            "C": ("E", "B"),
-            "D": ("E", "A"),
-            "E": ("C", "F"),
-            "F": ("C", "E"),
-        },
-        "A",
-        {
-            "A": "a",
-            "B": "a_bar",
-            "C": "c",
-            "D": "c_bar",
-            "E": "b",
-            "F": "b_bar",
-        },
-    )
-
-
-def ternary_digit_sum() -> Dfao:
-    """Running sum of ternary digits, reduced mod 3."""
-    return make_dfao(
-        3,
-        {"A": ("A", "B", "C"), "B": ("B", "C", "A"), "C": ("C", "A", "B")},
-        "A",
-        {"A": "0", "B": "1", "C": "2"},
-    )
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    """One bundled machine with its golden answer, the opacity of its
-    sequence, and the state count of its intrinsic machine."""
-
-    name: str
-    builder: Callable[[], Dfao]
-    opacity: DyadicDistance
-    states: int
-    note: str
-
-
-ENTRIES: tuple[CorpusEntry, ...] = (
-    CorpusEntry(
-        "one_state",
-        one_state,
-        pow2inv(1),
-        1,
-        "constant sequence; the smallest machine there is",
-    ),
-    CorpusEntry(
-        "identity2",
-        identity2,
-        ZERO,
-        2,
-        "echoes its input bit; output is purely 2-periodic",
-    ),
-    CorpusEntry(
-        "thue_morse",
-        thue_morse,
-        pow2inv(1),
-        2,
-        "binary digit-sum parity",
-    ),
-    CorpusEntry(
-        "period_doubling",
-        period_doubling,
-        pow2inv(2),
-        2,
-        "parity of the 2-adic valuation of n + 1",
-    ),
-    CorpusEntry(
-        "golay_shapiro",
-        golay_shapiro,
-        ZERO,
-        4,
-        "counts adjacent 11 pairs in binary, as a sign",
-    ),
-    CorpusEntry(
-        "paperfolding",
-        paperfolding,
-        ZERO,
-        4,
-        "crease directions of repeatedly folded paper",
-    ),
-    CorpusEntry(
-        "baum_sweet",
-        baum_sweet,
-        pow2inv(2),
-        4,
-        "zero-block structure of the binary expansion",
-    ),
-    CorpusEntry(
-        "hanoi",
-        hanoi,
-        pow2inv(2),
-        6,
-        "optimal tower-transfer move sequence",
-    ),
-    CorpusEntry(
-        "ternary_digit_sum",
-        ternary_digit_sum,
-        pow2inv(1),
-        3,
-        "ternary digit sum mod 3",
-    ),
-)
-
-_BY_NAME = {entry.name: entry for entry in ENTRIES}
-
-
-def entry(name: str) -> CorpusEntry:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise UnknownCorpusName(
-            f"no bundled machine named {name!r}; have: {', '.join(_BY_NAME)}"
-        ) from None
-
-
-def build(name: str) -> Dfao:
-    """Build a bundled machine by name."""
-    return entry(name).builder()
 
 
 # Independent term evaluators.  Each one computes the sequence from its
@@ -292,14 +103,161 @@ def _ternary_digit_sum_terms(n_terms: int) -> list[str]:
     return out
 
 
-_REFERENCES: dict[str, Callable[[int], list[str]]] = {
-    "thue_morse": _thue_morse_terms,
-    "period_doubling": _period_doubling_terms,
-    "golay_shapiro": _golay_shapiro_terms,
-    "paperfolding": _paperfolding_terms,
-    "baum_sweet": _baum_sweet_terms,
-    "ternary_digit_sum": _ternary_digit_sum_terms,
-}
+@dataclass(frozen=True)
+class CorpusEntry:
+    """One bundled machine with its golden answer, the opacity of its
+    sequence, the state count of its intrinsic machine and, where one
+    exists, an independent evaluator of its first terms."""
+
+    name: str
+    machine: Dfao
+    opacity: DyadicDistance
+    states: int
+    note: str
+    reference: Callable[[int], list[str]] | None = None
+
+
+ENTRIES: tuple[CorpusEntry, ...] = (
+    CorpusEntry(
+        "one_state",
+        one_state(),
+        pow2inv(1),
+        1,
+        "constant sequence; the smallest machine there is",
+    ),
+    CorpusEntry(
+        "identity2",
+        make_dfao(
+            2,
+            {"A": ("A", "B"), "B": ("A", "B")},
+            "A",
+            {"A": "0", "B": "1"},
+        ),
+        ZERO,
+        2,
+        "echoes its input bit; output is purely 2-periodic",
+    ),
+    CorpusEntry(
+        "thue_morse",
+        make_dfao(
+            2,
+            {"A": ("A", "B"), "B": ("B", "A")},
+            "A",
+            {"A": "0", "B": "1"},
+        ),
+        pow2inv(1),
+        2,
+        "binary digit-sum parity",
+        _thue_morse_terms,
+    ),
+    CorpusEntry(
+        "period_doubling",
+        make_dfao(
+            2,
+            {"A": ("A", "B"), "B": ("A", "A")},
+            "A",
+            {"A": "0", "B": "1"},
+        ),
+        pow2inv(2),
+        2,
+        "parity of the 2-adic valuation of n + 1",
+        _period_doubling_terms,
+    ),
+    CorpusEntry(
+        "golay_shapiro",
+        make_dfao(
+            2,
+            {"A": ("A", "B"), "B": ("A", "C"), "C": ("D", "B"), "D": ("D", "C")},
+            "A",
+            {"A": "1", "B": "1", "C": "-1", "D": "-1"},
+        ),
+        ZERO,
+        4,
+        "counts adjacent 11 pairs in binary, as a sign",
+        _golay_shapiro_terms,
+    ),
+    CorpusEntry(
+        "paperfolding",
+        make_dfao(
+            2,
+            {"A": ("A", "B"), "B": ("A", "C"), "C": ("D", "C"), "D": ("D", "B")},
+            "A",
+            {"A": "1", "B": "1", "C": "-1", "D": "-1"},
+        ),
+        ZERO,
+        4,
+        "crease directions of repeatedly folded paper",
+        _paperfolding_terms,
+    ),
+    CorpusEntry(
+        "baum_sweet",
+        make_dfao(
+            2,
+            {"A": ("A", "B"), "B": ("C", "B"), "C": ("B", "D"), "D": ("D", "D")},
+            "A",
+            {"A": "1", "B": "1", "C": "0", "D": "0"},
+        ),
+        pow2inv(2),
+        4,
+        "zero-block structure of the binary expansion",
+        _baum_sweet_terms,
+    ),
+    CorpusEntry(
+        "hanoi",
+        make_dfao(
+            2,
+            {
+                "A": ("A", "D"),
+                "B": ("A", "C"),
+                "C": ("E", "B"),
+                "D": ("E", "A"),
+                "E": ("C", "F"),
+                "F": ("C", "E"),
+            },
+            "A",
+            {
+                "A": "a",
+                "B": "a_bar",
+                "C": "c",
+                "D": "c_bar",
+                "E": "b",
+                "F": "b_bar",
+            },
+        ),
+        pow2inv(2),
+        6,
+        "optimal tower-transfer move sequence",
+    ),
+    CorpusEntry(
+        "ternary_digit_sum",
+        make_dfao(
+            3,
+            {"A": ("A", "B", "C"), "B": ("B", "C", "A"), "C": ("C", "A", "B")},
+            "A",
+            {"A": "0", "B": "1", "C": "2"},
+        ),
+        pow2inv(1),
+        3,
+        "ternary digit sum mod 3",
+        _ternary_digit_sum_terms,
+    ),
+)
+
+_BY_NAME = {entry.name: entry for entry in ENTRIES}
+
+
+def entry(name: str) -> CorpusEntry:
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise UnknownCorpusName(
+            f"no bundled machine named {name!r}; have: {', '.join(_BY_NAME)}"
+        ) from None
+
+
+def build(name: str) -> Dfao:
+    """The bundled machine of that name, built once at import."""
+    return entry(name).machine
 
 
 def sequence_checks(name: str, n_terms: int) -> bool:
@@ -307,10 +265,9 @@ def sequence_checks(name: str, n_terms: int) -> bool:
     evaluator.  Raises NoRecurrence for entries without one (one_state,
     identity2, hanoi)."""
     ent = entry(name)
-    reference = _REFERENCES.get(name)
-    if reference is None:
+    if ent.reference is None:
         raise NoRecurrence(f"no independent evaluator bundled for {name!r}")
-    return list(ent.builder().generate(n_terms)) == reference(n_terms)
+    return list(ent.machine.generate(n_terms)) == ent.reference(n_terms)
 
 
 @dataclass(frozen=True)
@@ -343,14 +300,13 @@ SEQUENCE_TERMS = 1000
 
 def evaluate_entry(ent: CorpusEntry) -> RowResult:
     """Run analysis, oracle and sequence comparison for one entry."""
-    dfao = ent.builder()
-    report = analyze_sequence(dfao)
+    report = analyze_sequence(ent.machine)
     bound = oracle_bound(report.intrinsic.automaton)
     value = brute_force_opacity(report.intrinsic.automaton, bound)
-    if ent.name in _REFERENCES:
-        seq_ok: bool | None = sequence_checks(ent.name, SEQUENCE_TERMS)
+    if ent.reference is None:
+        seq_ok: bool | None = None
     else:
-        seq_ok = None
+        seq_ok = sequence_checks(ent.name, SEQUENCE_TERMS)
     return RowResult(ent, report, bound, value, seq_ok)
 
 

@@ -16,7 +16,8 @@ def to_dot(d: Dfao, witness: PathWitness | None = None) -> str:
     Nodes are labeled name/output and the initial state gets an arrow from
     a point-shaped marker.  Parallel edges are merged into one arrow with
     a comma-joined digit list.  When a witness is given, the edges its
-    path takes are drawn separately in red.
+    path takes are drawn separately in red.  O(nk log k) for n states,
+    from sorting each row's targets, plus the witness's length.
     """
     a = d.automaton
     witness_edges: set[tuple[int, int, int]] = set()

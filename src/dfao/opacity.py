@@ -158,7 +158,8 @@ def _arrival(dist: list[int | None], feeders: list[int]) -> int | None:
 
 
 def state_homogeneity(a: Automaton) -> tuple[StateHomogeneity, ...]:
-    """Whole-graph in-edge verdict for every state, in state order."""
+    """Whole-graph in-edge verdict for every state, in state order.  O(nk)
+    for n states: one pass over the transition table."""
     n = len(a.states)
     label: list[int | None] = [None] * n
     mixed = [False] * n

@@ -17,7 +17,7 @@ from dfao.automaton import (
     validate,
 )
 from dfao.autfile import parse_raw
-from dfao.corpus import ENTRIES, build, hanoi, thue_morse
+from dfao.corpus import ENTRIES, build
 from dfao.errors import (
     BadRadix,
     DigitOutOfRange,
@@ -98,7 +98,7 @@ def test_step_and_run_path():
     assert vertices == (0, 1, 1)
     assert tuple(tern.states[v] for v in vertices) == ("A", "B", "B")
     assert tern.automaton.run_path(()) == (tern.initial,)
-    tm = thue_morse().automaton
+    tm = build("thue_morse").automaton
     for word in ((2,), (0, 1, -1)):
         with pytest.raises(DigitOutOfRange, match=rf"^digit {word[-1]} out of range for k=2$"):
             tm.run_path(word)
@@ -110,7 +110,7 @@ def test_step_and_run_path():
 
 
 def test_index_lookup():
-    tm = thue_morse()
+    tm = build("thue_morse")
     assert index(tm.automaton, "B") == 1
     assert output_of(tm, "B") == "1"
     with pytest.raises(UnknownState):
@@ -118,8 +118,8 @@ def test_index_lookup():
 
 
 def test_strict_accessibility():
-    assert hanoi().automaton.is_strictly_accessible()
-    assert thue_morse().automaton.is_strictly_accessible()
+    assert build("hanoi").automaton.is_strictly_accessible()
+    assert build("thue_morse").automaton.is_strictly_accessible()
     assert build("one_state").automaton.is_strictly_accessible()
     assert not build("baum_sweet").automaton.is_strictly_accessible()
 
@@ -141,7 +141,7 @@ def test_validate_accepts_and_prunes():
     )
     dfao, pruned = validate(raw)
     assert pruned == ("Z",)
-    assert dfao == thue_morse()
+    assert dfao == build("thue_morse")
 
 
 def test_validate_default_outputs_are_names():
@@ -264,7 +264,7 @@ def test_validate_names_the_first_missing_edge():
 
 
 def test_generate_known_sequences():
-    tm = thue_morse()
+    tm = build("thue_morse")
     assert "".join(tm.generate(16)) == "0110100110010110"
     pd = build("period_doubling")
     assert "".join(pd.generate(16)) == "0100010101000100"
@@ -275,7 +275,7 @@ def test_generate_known_sequences():
 
 
 def test_generate_nonpositive_count_is_empty():
-    assert thue_morse().generate(-3) == ()
+    assert build("thue_morse").generate(-3) == ()
     assert build("ternary_digit_sum").generate(0) == ()
 
 
@@ -297,7 +297,7 @@ def test_generate_matches_digit_walk_property(d, n_terms):
 
 
 def test_normalize_zero_noop_when_looping():
-    tm = thue_morse()
+    tm = build("thue_morse")
     assert tm.normalize_zero() is tm
 
 
@@ -319,6 +319,25 @@ def test_normalize_zero_prunes_orphaned_initial():
     assert nz.generate(100) == d.generate(100)
 
 
+def test_normalize_zero_keeps_declaration_order_after_pruning():
+    # Breadth-first order from the fresh state would be B', D, C, A; the
+    # result keeps declaration order, the fresh state first, and drops B,
+    # which no edge enters.
+    d = make_dfao(
+        2,
+        {"D": ("C", "A"), "A": ("A", "C"), "C": ("C", "D"), "B": ("C", "D")},
+        "B",
+        {"D": "0", "A": "1", "C": "2", "B": "1"},
+    )
+    assert d.states == ("D", "A", "C", "B")
+    nz = d.normalize_zero()
+    assert nz.states == ("B'", "D", "A", "C")
+    assert nz.initial == 0
+    assert nz.automaton.transition == ((0, 1), (3, 2), (2, 3), (3, 1))
+    assert nz.output == ("1", "0", "1", "2")
+    assert nz.generate(200) == d.generate(200)
+
+
 def test_normalize_zero_fresh_name_avoids_collision():
     d = make_dfao(2, {"A": ("A'", "A"), "A'": ("A", "A'")}, "A", {"A": "0", "A'": "1"})
     nz = d.normalize_zero()
@@ -326,7 +345,7 @@ def test_normalize_zero_fresh_name_avoids_collision():
 
 
 def test_are_equivalent_basics():
-    tm = thue_morse()
+    tm = build("thue_morse")
     rng = random.Random(11)
     assert are_equivalent(tm, tm)
     assert are_equivalent(tm, split_state(rng, tm))
@@ -437,11 +456,11 @@ def test_canonical_names_beyond_z():
 
 def test_make_dfao_matches_builder():
     tm = make_dfao(2, {"A": ("A", "B"), "B": ("B", "A")}, "A", {"A": "0", "B": "1"})
-    assert tm == thue_morse()
+    assert tm == build("thue_morse")
 
 
 def test_dfao_properties():
-    tm = thue_morse()
+    tm = build("thue_morse")
     assert tm.k == 2
     assert tm.states == ("A", "B")
     assert tm.initial == 0

@@ -207,6 +207,28 @@ def test_non_utf8_file_fails_cleanly(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    """A UTF-8 file saved with a byte-order mark reads as the same machine,
+    `minimize -o` writes it back without the mark, and a bad byte after the
+    mark is still counted from the file's start."""
+    bom = tmp_path / "thue_morse.aut"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(aut("thue_morse")).read_bytes())
+    assert main(["analyze", "--json", aut("thue_morse")]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["analyze", "--json", str(bom)]) == 0
+    assert json.loads(capsys.readouterr().out) == {**plain, "name": str(bom)}
+    out = tmp_path / "out.aut"
+    assert main(["minimize", str(bom), "-o", str(out)]) == 0
+    assert out.read_bytes() == Path(aut("thue_morse")).read_bytes()
+
+    bad = tmp_path / "bad.aut"
+    bad.write_bytes(b"\xef\xbb\xbfk 2\nstates A\xff\ninitial A\n")
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (invalid start byte at byte 15)\n"
+    )
+
+
 def test_minimize_writes_utf8_under_an_ascii_locale(tmp_path):
     """`.aut` files are read as UTF-8, so `minimize -o` writes UTF-8 whatever
     the locale.  The minimized machine renames its states, so the non-ASCII

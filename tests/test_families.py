@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dfao.automaton import are_equivalent
-from dfao.corpus import golay_shapiro
+from dfao.corpus import build
 from dfao.dyadic import ZERO, pow2inv
 from dfao.errors import InstanceTooLarge
 from dfao.opacity import Classification, analyze_sequence, is_homogeneous_automaton
@@ -184,7 +184,8 @@ def test_block_parity_machine_matches_closed_form():
 
 
 def test_block_parity_of_11_is_golay_shapiro():
-    assert are_equivalent(block_parity_machine(2, (1, 1), ("1", "-1")), golay_shapiro())
+    golay_shapiro = build("golay_shapiro")
+    assert are_equivalent(block_parity_machine(2, (1, 1), ("1", "-1")), golay_shapiro)
 
 
 def test_block_parity_matches_oracle():

@@ -1,5 +1,6 @@
 """The README's examples, run as written."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -30,3 +31,22 @@ def test_analyze_example_is_the_cli_output(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert cli.main(command.split()[2:]) == 0
     assert capsys.readouterr().out == shown
+
+
+def test_command_line_synopsis_matches_the_parser():
+    """Every subcommand and flag the README lists exists, and every option
+    of every subcommand is listed in one of its forms."""
+    shown: dict[str, set[str]] = {}
+    for line in _block("dfao ").splitlines():
+        usage = line.split("#", 1)[0].split()
+        assert usage[0] == "dfao", line
+        shown[usage[1]] = set(re.findall(r"(?<![\w-])(--?[A-Za-z][\w-]*)", " ".join(usage[2:])))
+    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = sub.choices
+    assert list(shown) == list(parsers)
+    for name, parser in parsers.items():
+        options = [a.option_strings for a in parser._actions if a.option_strings]
+        assert shown[name] <= {s for strings in options for s in strings}, name
+        for strings in options:
+            if strings != ["-h", "--help"]:
+                assert shown[name] & set(strings), (name, strings)
