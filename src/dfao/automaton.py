@@ -205,15 +205,17 @@ class Dfao:
         """Make digit 0 loop on the initial state, preserving the sequence.
 
         A machine ignores leading zeros exactly when its initial state
-        absorbs 0.  If it already does, the machine is returned unchanged.
-        Otherwise a fresh initial state is prepended that loops on 0 and
-        copies the old initial state's other transitions and output, and
-        any state left unreachable is dropped.  O(nk) for n states.
+        absorbs 0.  If it does not, a fresh initial state is prepended that
+        loops on 0 and copies the old initial state's other transitions and
+        output.  Either way any unreachable state is dropped, so the result
+        has every state reachable; a machine that already loops on 0 and
+        has no unreachable state is returned unchanged.  O(nk) for n states.
         """
         a = self.automaton
         rows, initial = a.transition, a.initial
         if rows[initial][0] == initial:
-            return self
+            pruned, dropped = _prune(a.k, a.states, initial, rows, self.output)
+            return pruned if dropped else self
         fresh = a.states[initial] + "'"
         while fresh in a.states:
             fresh += "'"

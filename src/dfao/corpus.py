@@ -299,7 +299,15 @@ SEQUENCE_TERMS = 1000
 
 
 def evaluate_entry(ent: CorpusEntry) -> RowResult:
-    """Run analysis, oracle and sequence comparison for one entry."""
+    """Run analysis, oracle and sequence comparison for one entry.
+
+    Cost: one `analyze_sequence` of the entry's machine; one oracle sweep
+    of its intrinsic machine, through the lengths up to the first clashing
+    one or up to `oracle_bound` when none clashes, each length costing what
+    `brute_force_opacity` says; and, when the entry holds an evaluator,
+    `SEQUENCE_TERMS` terms generated by the machine at O(1) each and as
+    many by the evaluator.
+    """
     report = analyze_sequence(ent.machine)
     bound = oracle_bound(report.intrinsic.automaton)
     value = brute_force_opacity(report.intrinsic.automaton, bound)
@@ -311,4 +319,7 @@ def evaluate_entry(ent: CorpusEntry) -> RowResult:
 
 
 def evaluate_all() -> tuple[RowResult, ...]:
+    """`evaluate_entry` for every bundled entry, in `ENTRIES` order: the sum
+    of their costs, so one analysis, one oracle sweep and up to
+    `SEQUENCE_TERMS` generated terms per entry."""
     return tuple(evaluate_entry(ent) for ent in ENTRIES)

@@ -38,8 +38,6 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-import numpy as np
-
 from .automaton import Automaton, Word
 from .dyadic import ZERO, DyadicDistance, pow2inv
 from .errors import InstanceTooLarge
@@ -84,6 +82,10 @@ def _masks(k: int, n_states: int) -> np.ndarray:
     the table is refused over `_TABLE_LIMIT` bytes.  Builds in
     O(n k^(n+1)) time with O(k^n) bytes of scratch.
     """
+    # numpy is imported here and in `_sweep`, not at module level, so that
+    # commands which never sweep start without loading it.
+    import numpy as np
+
     width = -(-(k**n_states) // 64)
     table_bytes = n_states * k * width * 8
     if table_bytes > _TABLE_LIMIT:
@@ -120,6 +122,8 @@ def _sweep(a: Automaton, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
     at 140 MB of resident memory, against 28 MB for a trivial sweep in
     the same interpreter (CPython 3.11, numpy 2.4, Linux x86_64).
     """
+    import numpy as np  # local for the same reason as in `_masks`
+
     k, n = a.k, len(a.states)
     if k**n > ASSIGNMENT_LIMIT:
         raise InstanceTooLarge(

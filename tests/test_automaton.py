@@ -30,6 +30,7 @@ from dfao.errors import (
     UnknownState,
 )
 from dfao.minimize import intrinsic_automaton, minimize
+from dfao.opacity import analyze_sequence
 from helpers import (
     all_words,
     canonical_form,
@@ -317,6 +318,14 @@ def test_normalize_zero_prunes_orphaned_initial():
     nz = d.normalize_zero()
     assert nz.states == ("A'", "B")
     assert nz.generate(100) == d.generate(100)
+
+
+def test_normalize_zero_prunes_when_initial_already_loops():
+    # Built directly, so nothing has pruned B; A already loops on 0.
+    d = Dfao(Automaton(2, ("A", "B"), 0, ((0, 0), (0, 1))), ("0", "1"))
+    pruned = make_dfao(2, {"A": ("A", "A")}, "A", {"A": "0"})
+    assert d.normalize_zero() == pruned
+    assert analyze_sequence(d) == analyze_sequence(pruned)
 
 
 def test_normalize_zero_keeps_declaration_order_after_pruning():
