@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for success (and corpus all-PASS / machines equivalent),
-1 for analysis or parse errors, corpus failures and non-equivalence,
-2 for usage errors.
+1 for analysis or parse errors, corpus failures, an oracle that
+disagrees with the analysis and non-equivalence, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -96,18 +96,21 @@ def _cmd_analyze(args) -> int:
     report = analyze_sequence(dfao)
     oracle_result = None
     oracle_note = None
+    agrees = True
     if args.oracle:
         bound = oracle_bound(report.intrinsic.automaton)
         try:
             value = brute_force_opacity(report.intrinsic.automaton, bound)
             oracle_result = (bound, value)
+            agrees = value == report.opacity
         except InstanceTooLarge as exc:
             oracle_note = str(exc)
+    code = 0 if agrees else 1
 
     if args.json:
         obj = _report_json(report, args.file, len(dfao.states), oracle_result)
         print(json.dumps(obj))
-        return 0
+        return code
 
     intrinsic = report.intrinsic
     rows = [
@@ -135,14 +138,14 @@ def _cmd_analyze(args) -> int:
     rows.append(("inhomogeneous states", ", ".join(_inhomogeneous_names(report)) or "none"))
     if oracle_result is not None:
         bound, value = oracle_result
-        verdict = "agrees" if value == report.opacity else "DISAGREES"
+        verdict = "agrees" if agrees else "DISAGREES"
         rows.append(("oracle", f"{value} at length bound {bound} ({verdict})"))
     elif oracle_note is not None:
         rows.append(("oracle", f"skipped: {oracle_note}"))
     width = max(len(label) for label, _ in rows)
     for label, value in rows:
         print(f"{label.ljust(width)}  {value}")
-    return 0
+    return code
 
 
 def _cmd_minimize(args) -> int:

@@ -32,75 +32,56 @@ def one_state(k: int = 2) -> Dfao:
 
 # Independent term evaluators.  Each one computes the sequence from its
 # own recurrence or closed form, never through a machine, so agreement
-# with Dfao.generate is a real check.
+# with Dfao.generate is a real check.  Each spends O(1) per term and
+# spells a term by indexing a tuple of the sequence's tokens.
+_BITS = ("0", "1")
+_SIGNS = ("1", "-1")
 
 
 def _thue_morse_terms(n_terms: int) -> list[str]:
-    # u(0) = 0, u(2n) = u(n), u(2n+1) = 1 - u(n)
-    u = [0] * max(n_terms, 1)
-    for n in range(1, n_terms):
-        u[n] = u[n // 2] if n % 2 == 0 else 1 - u[n // 2]
-    return [str(u[n]) for n in range(n_terms)]
+    # u(n) = parity of the number of 1s in n written in binary
+    return [_BITS[n.bit_count() & 1] for n in range(n_terms)]
 
 
 def _period_doubling_terms(n_terms: int) -> list[str]:
-    # u(n) = (exponent of 2 in n + 1) mod 2
-    out = []
-    for n in range(n_terms):
-        m = n + 1
-        val = (m & -m).bit_length() - 1
-        out.append(str(val % 2))
-    return out
+    # u(n) = (exponent of 2 in n + 1) mod 2: u(2n) = 0, u(2n+1) = 1 - u(n)
+    u = [0] * n_terms
+    for n in range(1, n_terms, 2):
+        u[n] = 1 - u[n // 2]
+    return [_BITS[v] for v in u]
 
 
 def _golay_shapiro_terms(n_terms: int) -> list[str]:
-    # u(0) = 1, u(2n) = u(n), u(4n+1) = u(n), u(4n+3) = -u(2n+1)
-    u = [0] * max(n_terms, 1)
-    u[0] = 1
-    for n in range(1, n_terms):
-        if n % 2 == 0:
-            u[n] = u[n // 2]
-        elif n % 4 == 1:
-            u[n] = u[n // 4]
-        else:
-            u[n] = -u[(n - 1) // 2]
-    return [str(u[n]) for n in range(n_terms)]
+    # u(n) = (-1)**(adjacent 11 pairs in n written in binary); each pair
+    # is a 1 bit of n & (n >> 1)
+    return [_SIGNS[(n & n >> 1).bit_count() & 1] for n in range(n_terms)]
 
 
 def _paperfolding_terms(n_terms: int) -> list[str]:
-    # u(2**a * (2m+1)) = (-1)**m; that covers every n >= 1, and term 0 is
-    # pinned to 1 by the machine's initial output.
-    out = ["1"]
-    for n in range(1, n_terms):
-        a = (n & -n).bit_length() - 1
-        m = (n >> a) >> 1
-        out.append("1" if m % 2 == 0 else "-1")
-    return out[:n_terms]
+    # u(2**a * (2m+1)) = (-1)**m, and m = n >> (a + 1).  That covers every
+    # n >= 1; at n = 0 it reads m = 0, which is the machine's initial 1.
+    return [_SIGNS[n >> (n & -n).bit_length() & 1] for n in range(n_terms)]
 
 
 def _baum_sweet_terms(n_terms: int) -> list[str]:
     # u(0) = 1, u(2n+1) = u(n), u(4n) = u(n), u(4n+2) = 0
-    u = [0] * max(n_terms, 1)
-    u[0] = 1
+    u = [1] * n_terms
     for n in range(1, n_terms):
-        if n % 2 == 1:
-            u[n] = u[(n - 1) // 2]
-        elif n % 4 == 0:
-            u[n] = u[n // 4]
-        else:
+        if n % 2:
+            u[n] = u[n // 2]
+        elif n % 4:
             u[n] = 0
-    return [str(u[n]) for n in range(n_terms)]
+        else:
+            u[n] = u[n // 4]
+    return [_BITS[v] for v in u]
 
 
 def _ternary_digit_sum_terms(n_terms: int) -> list[str]:
-    out = []
-    for n in range(n_terms):
-        total = 0
-        while n:
-            n, r = divmod(n, 3)
-            total += r
-        out.append(str(total % 3))
-    return out
+    # s(0) = 0, s(n) = s(n // 3) + n % 3, taken mod 3
+    s = [0] * n_terms
+    for n in range(1, n_terms):
+        s[n] = (s[n // 3] + n % 3) % 3
+    return [("0", "1", "2")[v] for v in s]
 
 
 @dataclass(frozen=True)
@@ -305,8 +286,8 @@ def evaluate_entry(ent: CorpusEntry) -> RowResult:
     of its intrinsic machine, through the lengths up to the first clashing
     one or up to `oracle_bound` when none clashes, each length costing what
     `brute_force_opacity` says; and, when the entry holds an evaluator,
-    `SEQUENCE_TERMS` terms generated by the machine at O(1) each and as
-    many by the evaluator.
+    `SEQUENCE_TERMS` terms generated by the machine and as many by the
+    evaluator, O(1) each on both sides.
     """
     report = analyze_sequence(ent.machine)
     bound = oracle_bound(report.intrinsic.automaton)

@@ -15,21 +15,25 @@ and held as bits of uint64 words, 64 to a word: bit r of the bitset
 word w carries its end state and its alive set, the relabelings that read
 w back perfectly.  The readbacks of w and of its child w.d agree on w, so
 the child's alive set is alive(w) & masks[:, delta(end, d), d]: one AND
-settles the last position of 64 (word, relabeling) cells.  A word's floor
-index h, the latest first miss over relabelings (len(w) when some
-relabeling reads w back perfectly), follows from its prefix's:
-h(w.d) = len(w) + 1 when alive(w.d) is non-empty, else h(w).  A
-relabeling perfect on w misses w.d at position len(w), which is then
-h(w), and every other relabeling keeps the first miss it had on w.  So a
-length m costs O(k^m * ceil(k^n / 64)) word operations, where reading
-every relabeling back over all m positions cost O(k^m * k^n * m).
+settles the last position of 64 (word, relabeling) cells.  So a length m
+costs O(k^m * ceil(k^n / 64)) word operations, where reading every
+relabeling back over all m positions cost O(k^m * k^n * m).
+
+Every value comes from that one sweep, `_sweep`, which yields for each
+length which words some relabeling still reads back: whether each alive
+set is non-empty.  A word's floor index h, the latest first miss over
+relabelings (len(w) when some relabeling reads w back perfectly), follows
+from its prefix's: h(w.d) = len(w) + 1 when w.d is read back, else h(w).
+A relabeling perfect on w misses w.d at position len(w), which is then
+h(w), and every other relabeling keeps the first miss it had on w.
+`per_word_infs` rebuilds each floor with that recurrence.
+`brute_force_opacity` needs no floor at all: it stops at the first length
+m where some word is not read back, and the answer there is 2**-(m - 1).
 
 This is still a plain enumeration.  Every word of every length is
 extended and every (word, relabeling) cell is decided by its own bit; no
 two words are merged, not even when they share an end state and an alive
 set, and nothing is computed about which digits enter which state.
-Every value comes from that one sweep, `_sweep`: `per_word_infs` reads
-each word's floor off it and `brute_force_opacity` the largest.
 """
 
 from __future__ import annotations
@@ -105,22 +109,24 @@ def _masks(k: int, n_states: int) -> np.ndarray:
 
 
 def _sweep(a: Automaton, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (m, h) for m = 1..max_len, where h[i] is the floor index of
-    the word of length m whose digits, last first, spell i in base k:
-    entry i of length m extends entry i % k**(m-1) of length m - 1 by the
-    digit i // k**(m-1).  Keeping the new digit outermost lets each
-    length's AND read its parents' alive table as contiguous rows.
+    """Yield (m, read) for m = 1..max_len, where read[i] is True when some
+    relabeling reads back the word of length m whose digits, last first,
+    spell i in base k: entry i of length m extends entry i % k**(m-1) of
+    length m - 1 by the digit i // k**(m-1).  Keeping the new digit
+    outermost lets each length's AND read its parents' alive table as
+    contiguous rows.
 
     Budgets, in this order: relabelings, before anything is built; then
     the mask table, and before each length that length's alive table,
     against `_TABLE_LIMIT`.  Length m costs O(k^m * ceil(k^n / 64)) time
     and holds k^m * ceil(k^n / 64) * 8 bytes of alive table, next to its
     parent's table, which is k times smaller, plus 8 bytes of mask column
-    and 2 of floor index per word.  The cap counts the alive table alone,
-    so the peak is higher: a transparent 9-state binary machine, whose
-    length-20 table of 2^20 rows of 8 words fills the cap exactly, peaked
-    at 140 MB of resident memory, against 28 MB for a trivial sweep in
-    the same interpreter (CPython 3.11, numpy 2.4, Linux x86_64).
+    and 1 of readback flag per word.  The cap counts the alive table
+    alone, so the peak is higher: a transparent 9-state binary machine,
+    whose length-20 table of 2^20 rows of 8 words fills the cap exactly,
+    peaked at 140 MB of resident memory, against 28 MB for a trivial
+    sweep in the same child process, so the sweep held about 1.7 times
+    the cap (CPython 3.11, numpy 2.4, Linux x86_64).
     """
     import numpy as np  # local for the same reason as in `_masks`
 
@@ -140,7 +146,6 @@ def _sweep(a: Automaton, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
     # the empty word, since successors[:, c] depends on c // k alone
     at = np.asarray([a.initial * k])
     alive = np.bitwise_or.reduce(masks, axis=1)[:, None]  # every relabeling
-    h = np.zeros(1, dtype=np.int16)
     for m in range(1, max_len + 1):
         table_bytes = k**m * width * 8
         if table_bytes > _TABLE_LIMIT:
@@ -151,18 +156,26 @@ def _sweep(a: Automaton, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
         at = np.take(successors, at.ravel(), axis=1)  # (k, words of length m - 1)
         child = np.take(masks, at, axis=1)
         child &= alive[:, None, :]
-        h = np.where(np.logical_or.reduce(child, axis=0), np.int16(m), h).ravel()
         alive = child.reshape(width, -1)
-        yield m, h
+        yield m, np.logical_or.reduce(alive, axis=0)
 
 
 def per_word_infs(
     a: Automaton, max_len: int
 ) -> Iterator[tuple[Word, DyadicDistance]]:
     """(word, floor distance over relabelings) for every word of length
-    1..max_len, lexicographic within each length.  Each length m costs
-    what `_sweep` says, plus O(k^m * m) to spell out its words."""
-    for m, h in _sweep(a, max_len):
+    1..max_len, lexicographic within each length.
+
+    Each word's floor index is rebuilt from its prefix's as the module
+    docstring derives it: h(w.d) = m when `_sweep` says some relabeling
+    reads w.d back, else h(w), with h = 0 for the empty word.  Each
+    length m costs what `_sweep` says, plus O(k^m * m) to spell out its
+    words."""
+    import numpy as np  # local for the same reason as in `_masks`
+
+    h = np.zeros(1, dtype=np.int16)
+    for m, read in _sweep(a, max_len):
+        h = np.where(read.reshape(a.k, -1), np.int16(m), h).ravel()
         words = itertools.product(range(a.k), repeat=m)
         lexicographic = h.reshape((a.k,) * m).T.ravel()  # first digit outermost
         for word, hi in zip(words, lexicographic.tolist()):
@@ -172,14 +185,16 @@ def per_word_infs(
 def brute_force_opacity(a: Automaton, max_len: int) -> DyadicDistance:
     """Largest floor distance over every word of length 1..max_len.
 
-    Lengths are scanned in increasing order and the scan stops at the
-    first length where any word clashes (no relabeling reads it back).
-    That is sound without any graph reasoning: a longer word whose best
-    relabeling first misses at an even earlier position h would clash
-    within its first h+1 edges, and that prefix is itself a word this
-    scan has already processed.  So later lengths can never produce a
-    larger value, and the minimum h seen at the first clashing length is
-    the exact answer for every bound at or beyond it.
+    Lengths are scanned in increasing order, and the scan stops at the
+    first length m where some word clashes (no relabeling reads it back).
+    The answer is then 2**-(m - 1), by prefix reasoning alone, without
+    any graph reasoning.  Every word of length m - 1 was read back by
+    some relabeling, or the scan would have stopped earlier.  So every
+    word of length m or more has a relabeling that first misses at
+    position m - 1 or later, and its floor is at most 2**-(m - 1).  A
+    clashing word of length m attains that bound: the relabeling that
+    reads its prefix back misses it at position m - 1, and no relabeling
+    does better.  When no word up to max_len clashes, every floor is zero.
 
     Cost: the lengths up to the first clashing one, each as `_sweep`
     gives it, O(k^m * ceil(k^n / 64)) time and k^m * ceil(k^n / 64) * 8
@@ -187,8 +202,7 @@ def brute_force_opacity(a: Automaton, max_len: int) -> DyadicDistance:
     order; a length's table is checked only when it is reached, so a
     machine that clashes early is answered whatever its bound.
     """
-    for m, h in _sweep(a, max_len):
-        low = int(h.min())
-        if low < m:
-            return pow2inv(low)
+    for m, read in _sweep(a, max_len):
+        if not read.all():
+            return pow2inv(m - 1)
     return ZERO

@@ -13,6 +13,7 @@ from dfao.automaton import make_dfao
 from dfao import cli
 from dfao.cli import main
 from dfao.corpus import ENTRIES, build
+from dfao.dyadic import pow2inv
 from helpers import residue_machine
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -80,6 +81,25 @@ def test_analyze_oracle_flag(capsys):
     assert main(["analyze", aut("period_doubling"), "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "agrees" in out
+
+
+def test_analyze_exits_one_when_the_oracle_disagrees(monkeypatch, capsys):
+    """A disagreeing oracle fails the command in both output modes, as a
+    corpus MISMATCH does; what is printed is the same report as ever."""
+    argv = ["analyze", aut("period_doubling"), "--oracle"]  # opacity 1/4
+    main(argv + ["--json"])
+    agreeing = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "brute_force_opacity", lambda a, bound: pow2inv(1))
+
+    assert main(argv + ["--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj == {**agreeing, "oracle": {"L": 6, "value": {"num": 1, "den": 2}}}
+
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].split() == [
+        "oracle", "1/2", "at", "length", "bound", "6", "(DISAGREES)"
+    ]
 
 
 def test_analyze_warns_about_pruning(tmp_path, capsys):

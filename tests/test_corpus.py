@@ -110,6 +110,96 @@ def test_sequence_checks_pass_for_recurrence_backed_entries():
         assert sequence_checks(name, 1000), name
 
 
+# The evaluators' earlier per-term forms: a str() per term, and the ternary
+# digit sum by repeated division.  The reference for the one-pass forms.
+def _old_thue_morse_terms(n_terms):
+    # u(0) = 0, u(2n) = u(n), u(2n+1) = 1 - u(n)
+    u = [0] * max(n_terms, 1)
+    for n in range(1, n_terms):
+        u[n] = u[n // 2] if n % 2 == 0 else 1 - u[n // 2]
+    return [str(u[n]) for n in range(n_terms)]
+
+
+def _old_period_doubling_terms(n_terms):
+    # u(n) = (exponent of 2 in n + 1) mod 2
+    out = []
+    for n in range(n_terms):
+        m = n + 1
+        val = (m & -m).bit_length() - 1
+        out.append(str(val % 2))
+    return out
+
+
+def _old_golay_shapiro_terms(n_terms):
+    # u(0) = 1, u(2n) = u(n), u(4n+1) = u(n), u(4n+3) = -u(2n+1)
+    u = [0] * max(n_terms, 1)
+    u[0] = 1
+    for n in range(1, n_terms):
+        if n % 2 == 0:
+            u[n] = u[n // 2]
+        elif n % 4 == 1:
+            u[n] = u[n // 4]
+        else:
+            u[n] = -u[(n - 1) // 2]
+    return [str(u[n]) for n in range(n_terms)]
+
+
+def _old_paperfolding_terms(n_terms):
+    # u(2**a * (2m+1)) = (-1)**m; term 0 is pinned to 1
+    out = ["1"]
+    for n in range(1, n_terms):
+        a = (n & -n).bit_length() - 1
+        m = (n >> a) >> 1
+        out.append("1" if m % 2 == 0 else "-1")
+    return out[:n_terms]
+
+
+def _old_baum_sweet_terms(n_terms):
+    # u(0) = 1, u(2n+1) = u(n), u(4n) = u(n), u(4n+2) = 0
+    u = [0] * max(n_terms, 1)
+    u[0] = 1
+    for n in range(1, n_terms):
+        if n % 2 == 1:
+            u[n] = u[(n - 1) // 2]
+        elif n % 4 == 0:
+            u[n] = u[n // 4]
+        else:
+            u[n] = 0
+    return [str(u[n]) for n in range(n_terms)]
+
+
+def _old_ternary_digit_sum_terms(n_terms):
+    out = []
+    for n in range(n_terms):
+        total = 0
+        while n:
+            n, r = divmod(n, 3)
+            total += r
+        out.append(str(total % 3))
+    return out
+
+
+EARLIER_FORMS = {
+    "thue_morse": _old_thue_morse_terms,
+    "period_doubling": _old_period_doubling_terms,
+    "golay_shapiro": _old_golay_shapiro_terms,
+    "paperfolding": _old_paperfolding_terms,
+    "baum_sweet": _old_baum_sweet_terms,
+    "ternary_digit_sum": _old_ternary_digit_sum_terms,
+}
+
+
+def test_evaluators_match_their_earlier_forms():
+    """Every term for 3**8 ternary and 2**13 binary terms, and the edge
+    counts 0, 1 and 2, where a fixed first term could show."""
+    assert [e.name for e in ENTRIES if e.reference] == list(EARLIER_FORMS)
+    for ent in ENTRIES:
+        if ent.reference is not None:
+            old = EARLIER_FORMS[ent.name]
+            for n_terms in (0, 1, 2, 3**8 if ent.machine.k == 3 else 2**13):
+                assert ent.reference(n_terms) == old(n_terms), (ent.name, n_terms)
+
+
 def test_sequence_checks_raise_without_recurrence():
     for name in ("one_state", "identity2", "hanoi"):
         with pytest.raises(NoRecurrence):

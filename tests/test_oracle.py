@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 
 from dfao.automaton import Automaton, make_dfao
-from dfao.corpus import build
+from dfao.corpus import ENTRIES, build
 from dfao.dyadic import ZERO, pow2inv
 from dfao.errors import DigitOutOfRange, InstanceTooLarge
-from dfao.opacity import compute_opacity
+from dfao.opacity import analyze_sequence, compute_opacity
 from dfao.oracle import (
     _masks,
     brute_force_opacity,
@@ -216,6 +216,38 @@ def test_assignment_matrix_cache_is_bounded():
     for k in range(2, cap + 4):
         assert _masks(k, 1).tolist() == [[[1 << d for d in range(k)]]]
     assert _masks.cache_info().currsize == cap
+
+
+def _both_readers_population():
+    """Machines small enough for `per_word_infs` to spell every word up to
+    the bound: seeded random machines drawn with up to 8, 4 and 3 states
+    for k = 2, 3 and 4 (pruning may leave fewer), the nine corpus machines,
+    and the n mod p cells whose k**bound is at most 2**18 (all of them
+    answered by the oracle)."""
+    rng = random.Random(113)
+    for k, n_max in ((2, 8), (3, 4), (4, 3)):
+        for _ in range(6):
+            yield random_dfao(rng, k=k, max_states=n_max, min_states=n_max - 2).automaton
+    for ent in ENTRIES:
+        yield ent.machine.automaton
+    for k in (2, 3, 4):
+        for p in range(1, 13):
+            a = analyze_sequence(residue_machine(k, p)).intrinsic.automaton
+            if k ** oracle_bound(a) <= 2**18:
+                yield a
+
+
+def test_brute_force_is_the_largest_per_word_floor():
+    """The two readers of the sweep agree at every length bound: the
+    opacity stops on the first length some word clashes at, and the
+    floors are rebuilt word by word, yet the first is the largest of the
+    second."""
+    machines = list(_both_readers_population())
+    assert len(machines) == 18 + len(ENTRIES) + 15
+    for a in machines:
+        for max_len in range(oracle_bound(a) + 1):
+            floors = [value for _word, value in per_word_infs(a, max_len)]
+            assert brute_force_opacity(a, max_len) == max(floors, default=ZERO), (a, max_len)
 
 
 def _differential_population():
