@@ -418,16 +418,21 @@ def make_dfao(
     return dfao
 
 
+def _check_same_radix(d1: Dfao, d2: Dfao) -> None:
+    if d1.k != d2.k:
+        raise RadixMismatch(f"cannot compare machines over k={d1.k} and k={d2.k}")
+
+
 def are_equivalent(d1: Dfao, d2: Dfao) -> bool:
     """Whether the two machines read out the same token on every word.
 
     Breadth-first search over reachable state pairs of the product,
     comparing outputs at each pair.  The initial pair is included, so the
-    machines must also agree on term 0 of their sequences.  O(n1 n2 k) for
-    machines of n1 and n2 states: each reachable pair is expanded once.
+    machines must also agree on term 0 of their sequences.  O(n1 n2 k)
+    time and O(n1 n2) memory for machines of n1 and n2 states: each
+    reachable pair is kept and expanded once.
     """
-    if d1.k != d2.k:
-        raise RadixMismatch(f"cannot compare machines over k={d1.k} and k={d2.k}")
+    _check_same_radix(d1, d2)
     a1, a2 = d1.automaton, d2.automaton
     start = (a1.initial, a2.initial)
     seen = {start}

@@ -14,12 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .autfile import parse_raw, serialize
-from .automaton import Dfao, are_equivalent, validate
+from .automaton import Dfao, _check_same_radix, validate
 from .corpus import evaluate_all
 from .dot import to_dot
 from .dyadic import DyadicDistance
 from .errors import AutSyntaxError, DfaoError, InstanceTooLarge
-from .minimize import intrinsic_automaton
+from .minimize import intrinsic_automaton, minimize
 from .opacity import AnalysisReport, PathWitness, analyze_sequence, shortest_inhomogeneous_path
 from .oracle import brute_force_opacity, oracle_bound
 
@@ -253,7 +253,9 @@ def _cmd_corpus(args) -> int:
 def _cmd_equiv(args) -> int:
     d1 = _load(args.file1)
     d2 = _load(args.file2)
-    if are_equivalent(d1, d2):
+    _check_same_radix(d1, d2)
+    # Not `are_equivalent`: its product search keeps up to n1 * n2 pairs.
+    if minimize(d1).target == minimize(d2).target:
         print("equivalent")
         return 0
     print("not equivalent")

@@ -32,19 +32,12 @@ def to_dot(d: Dfao, witness: PathWitness | None = None) -> str:
     lines.append(f"  start -> s{a.initial};")
 
     for src, row in enumerate(a.transition):
-        plain: dict[int, list[int]] = {}
-        marked: dict[int, list[int]] = {}
+        arrows: dict[tuple[int, bool], list[int]] = {}  # (dst, on witness) -> digits
         for digit, dst in enumerate(row):
-            bucket = marked if (src, digit, dst) in witness_edges else plain
-            bucket.setdefault(dst, []).append(digit)
-        for dst in sorted(plain.keys() | marked.keys()):
-            if dst in plain:
-                label = ",".join(str(dig) for dig in plain[dst])
-                lines.append(f'  s{src} -> s{dst} [label="{label}"];')
-            if dst in marked:
-                label = ",".join(str(dig) for dig in marked[dst])
-                lines.append(
-                    f'  s{src} -> s{dst} [label="{label}", color=red, penwidth=2];'
-                )
+            arrows.setdefault((dst, (src, digit, dst) in witness_edges), []).append(digit)
+        for (dst, red), digits in sorted(arrows.items()):
+            label = ",".join(map(str, digits))
+            style = ", color=red, penwidth=2" if red else ""
+            lines.append(f'  s{src} -> s{dst} [label="{label}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

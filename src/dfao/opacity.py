@@ -34,15 +34,16 @@ problems, so n is the minimum of entry(s, x) + loop(s, y) over all states
 s and ordered digit pairs x != y, computed from breadth-first distances.
 
 The loop searches are bounded without changing n or the set of states
-that attain it.  States are visited in order of their shortest entry
-e(s), ties by index.  A loop has at least one edge, so once e(s) + 1
-exceeds the best total found so far, neither this state nor any later
-one can match it, and the search stops.  A visited state can only match
-the best total b with a loop of at most b - e(s) edges, whose last edge
-leaves a state at most b - e(s) - 1 edges from s, so its breadth-first
-search stops at that depth.  Every total that does not exceed the running
-best is therefore exact, ties included, and the states whose total is the
-final n are exactly known.
+that attain it.  States are visited in breadth-first order, so their
+shortest entries e(s), their depths, never decrease.  The initial
+state's is a loop, but it comes first, before any bound.  A loop has at
+least one edge, so once e(s) + 1 exceeds the best total found so far,
+neither this state nor any later one can match it, and the search stops.
+A visited state can only match the best total b with a loop of at most
+b - e(s) edges, whose last edge leaves a state at most b - e(s) - 1
+edges from s, so its breadth-first search stops at that depth.  Every
+total that does not exceed the running best is therefore exact, ties
+included, and the states whose total is the final n are exactly known.
 
 The witness is the lexicographically smallest clashing word of length n,
 and both of its halves are shortest words.  In such a word the final
@@ -219,6 +220,9 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     tied state s followed by a shortest loop at s, so one breadth-first
     search from the initial state and one from each tied state rank every
     head and tail; at most one word is rebuilt per (state, head length).
+    Each tied state is searched again, not kept from its first search, so
+    memory stays O(n), not O(n) per tie; ties are few (about 1.7 per
+    random machine of the analyze-random benchmark, 1 per cycle chain).
 
     Cost: one depth-bounded breadth-first search, O(nk), per candidate
     state, and one more per tied state.  That is O(n^2 k) on cycle chains:
@@ -229,25 +233,22 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     n, k = len(a.states), a.k
     preimages = _preimages(a.transition, k)
     order0, dist0 = _bfs(a.transition, a.initial)
+    # Breadth-first order meets each (state, digit) first on a shortest entry.
     entry: list[list[int | None]] = [[None] * k for _ in range(n)]
-    for r, row in enumerate(a.transition):
-        if dist0[r] is None:
-            continue
-        e = dist0[r] + 1
-        for dig, t in enumerate(row):
-            if entry[t][dig] is None or e < entry[t][dig]:
-                entry[t][dig] = e
+    for r in order0:
+        for dig, t in enumerate(a.transition[r]):
+            if entry[t][dig] is None:
+                entry[t][dig] = dist0[r] + 1
 
     # Only states entered on two distinct digits can host a clash; the
     # visiting order and both bounds are justified in the module docstring.
-    candidates = sorted(
-        (min(e for e in row if e is not None), s)
-        for s, row in enumerate(entry)
-        if sum(e is not None for e in row) >= 2
-    )
     best_total: int | None = None
-    totals: dict[int, tuple[int, int]] = {}  # state -> (total, shortest entry)
-    for entry_min, s in candidates:
+    tied: list[tuple[int, int]] = []  # (state, shortest entry) at best_total
+    for s in order0:
+        entries = [e for e in entry[s] if e is not None]
+        if len(entries) < 2:
+            continue
+        entry_min = min(entries)
         if best_total is not None and entry_min + 1 > best_total:
             break
         limit = None if best_total is None else best_total - entry_min - 1
@@ -263,19 +264,17 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
             ),
             default=None,
         )
-        if total is None:
+        if total is None or (best_total is not None and total > best_total):
             continue
-        totals[s] = (total, entry_min)
         if best_total is None or total < best_total:
-            best_total = total
+            best_total, tied = total, []
+        tied.append((s, entry_min))
 
     # The smallest word over the tied states, from ranked heads and tails
     # (module docstring); a word's head ends at its position_a.
     rank0 = {t: i for i, t in enumerate(order0)}
     best: PathWitness | None = None
-    for s, (total, entry_min) in totals.items():
-        if total != best_total:
-            continue
+    for s, entry_min in tied:
         order_s, dist_s = _bfs(a.transition, s, best_total - entry_min - 1)
         rank_s = {t: i for i, t in enumerate(order_s)}
         tails = _feeders(rank_s, preimages, s)

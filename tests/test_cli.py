@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,12 @@ from pathlib import Path
 import pytest
 
 from dfao.autfile import serialize
-from dfao.automaton import make_dfao
+from dfao.automaton import are_equivalent, make_dfao
 from dfao import cli
 from dfao.cli import main
 from dfao.corpus import ENTRIES, build
 from dfao.dyadic import pow2inv
-from helpers import residue_machine
+from helpers import random_dfao, residue_machine, split_state
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -199,6 +200,52 @@ def test_equiv(tmp_path, capsys):
     assert capsys.readouterr().out == "equivalent\n"
     assert main(["equiv", aut("thue_morse"), aut("period_doubling")]) == 1
     assert capsys.readouterr().out == "not equivalent\n"
+
+
+def test_equiv_agrees_with_the_product_search(tmp_path, capsys):
+    """The CLI compares minimal machines; `are_equivalent` searches the
+    product.  Half the pairs are made equivalent by splitting a state."""
+    rng = random.Random(37)
+    verdicts = set()
+    for i in range(120):
+        d1 = random_dfao(rng, k=rng.choice((2, 3)), max_states=6, output_alphabet=("0", "1"))
+        d2 = split_state(rng, d1) if i % 2 else random_dfao(
+            rng, k=d1.k, max_states=6, output_alphabet=("0", "1")
+        )
+        f1, f2 = tmp_path / "a.aut", tmp_path / "b.aut"
+        f1.write_text(serialize(d1))
+        f2.write_text(serialize(d2))
+        expected = are_equivalent(d1, d2)
+        assert main(["equiv", str(f1), str(f2)]) == (0 if expected else 1)
+        assert capsys.readouterr().out == ("equivalent\n" if expected else "not equivalent\n")
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_equiv_is_bounded_under_memory_cap(tmp_path):
+    """Cycles of 3000 and 3001 states, every output 0: their product has
+    about 9 * 10**6 reachable pairs, but both minimize to one state, so
+    the answer comes out under a 600 MB address-space cap."""
+    resource = pytest.importorskip("resource")
+    files = []
+    for n in (3000, 3001):
+        f = tmp_path / f"cycle{n}.aut"
+        rows = {f"c{i}": (f"c{(i + 1) % n}",) * 2 for i in range(n)}
+        f.write_text(serialize(make_dfao(2, rows, "c0", dict.fromkeys(rows, "0"))))
+        files.append(str(f))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "dfao.cli", "equiv", *files],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+        timeout=60,
+    )
+    assert "Traceback" not in result.stderr, result.stderr
+    assert (result.returncode, result.stdout) == (0, "equivalent\n")
 
 
 def test_missing_file_fails_cleanly(capsys):

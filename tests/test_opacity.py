@@ -5,9 +5,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
-from dfao.automaton import make_dfao
+from dfao.automaton import RawDfao, _bfs, make_dfao, validate
 from dfao.corpus import build
 from dfao.dyadic import ZERO, pow2inv
+from dfao.minimize import intrinsic_automaton
 from dfao.opacity import (
     MAX_OPACITY,
     Classification,
@@ -248,9 +249,10 @@ def test_witness_matches_exhaustive_lexmin_on_larger_machines():
 
 
 def test_witness_tie_goes_to_the_smaller_word_not_the_earlier_state():
-    """Two states attain the minimal length; the loop search visits them
-    by (shortest entry, state index), and the lexicographically smallest
-    word clashes at the one visited second."""
+    """Two states attain the minimal length, and the lexicographically
+    smallest word decides between them: in the first machine it clashes
+    at the larger index, in the second at the state the breadth-first
+    loop search visits second."""
     # Both clash at length 2 with entry 1: P on "10", Q on "01".
     same_entry = make_dfao(
         2, {"I": ("Q", "P"), "P": ("P", "I"), "Q": ("I", "Q")}, "I"
@@ -282,6 +284,68 @@ def test_cycle_chain_witness_is_one_then_n_zeros():
             rep = analyze_sequence(cycle_chain(n, k))
             assert rep.witness.word == (1,) + (0,) * n, (n, k)
             assert (rep.witness.position_a, rep.witness.position_b) == (0, n)
+
+
+def _visited_candidates(a):
+    """(state, shortest entry, shortest clash through it) for each state
+    entered on two digits, in the search's breadth-first visiting order."""
+    found = []
+    for s in _bfs(a.transition, a.initial)[0]:
+        entries = [entry_distance(a, s, d) for d in range(a.k)]
+        if sum(e is not None for e in entries) < 2:
+            continue
+        loops = [return_distance(a, s, d) for d in range(a.k)]
+        total = min(
+            (e + lp for d1, e in enumerate(entries) if e is not None
+             for d2, lp in enumerate(loops) if d2 != d1 and lp is not None),
+            default=None,
+        )
+        found.append((s, min(e for e in entries if e is not None), total))
+    return found
+
+
+def test_witness_on_machines_listed_out_of_breadth_first_order():
+    """Raw machines with a random initial index, so index order is not
+    breadth-first order.  Among them are machines whose initial state is
+    a candidate with a shortest entry (a loop) longer than a later
+    candidate's depth, and machines where the running best improves after
+    two or more states tied it; the witness is the exhaustive lexmin on
+    all of them."""
+    rng = random.Random(29)
+    long_initial = improved_after_tie = 0
+    for _ in range(400):
+        k, n = rng.choice((2, 3)), rng.randint(2, 7)
+        names = tuple(f"q{i}" for i in range(n))
+        edges = tuple((names[s], d, names[rng.randrange(n)]) for s in range(n) for d in range(k))
+        a = validate(RawDfao(k, names, names[rng.randrange(n)], edges, None))[0].automaton
+        visited = _visited_candidates(a)
+        if visited and visited[0][0] == a.initial:
+            long_initial += any(e < visited[0][1] for _, e, _ in visited[1:])
+        best, ties = None, 0
+        for _, _, total in visited:
+            if total is None or (best is not None and total > best):
+                continue
+            if best is None or total < best:
+                improved_after_tie += ties >= 2
+                best, ties = total, 0
+            ties += 1
+        got = shortest_inhomogeneous_path(a)
+        if got is not None:
+            _assert_witness_is_exhaustive_lexmin(a, got, len(got.word))
+        elif a.k ** (2 * len(a.states) + 2) <= 10**5:
+            _assert_witness_is_exhaustive_lexmin(a, got, 2 * len(a.states) + 2)
+    assert long_initial >= 20 and improved_after_tie >= 3
+
+
+def test_intrinsic_breadth_first_order_is_index_order():
+    """The intrinsic machine is canonical, so the witness search visits
+    its states in index order."""
+    rng = random.Random(31)
+    machines = [random_dfao(rng, k=rng.choice((2, 4)), min_states=20, max_states=60) for _ in range(40)]
+    machines += [cycle_chain(n, k) for n in (2, 17, 64) for k in (2, 3)]
+    for d in machines:
+        a = intrinsic_automaton(d).target.automaton
+        assert _bfs(a.transition, a.initial)[0] == list(range(len(a.states)))
 
 
 @settings(max_examples=300)
