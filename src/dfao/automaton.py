@@ -119,12 +119,12 @@ class Automaton:
         return len(_bfs(back, self.initial)[0]) == n
 
 
-def _preimages(rows: Sequence[Sequence[int]], k: int) -> list[list[list[int]]]:
-    """preimages[d][t] lists, in increasing order, the states whose digit-d
-    edge enters t.  O(nk) for n rows."""
+def _preimages(rows: Sequence[Sequence[int]], k: int, order: Iterable[int]) -> list[list[list[int]]]:
+    """preimages[d][t] lists, in `order`, the states of `order` whose digit-d
+    edge enters t; range(n) lists them all.  O(nk) for n rows."""
     preimages: list[list[list[int]]] = [[[] for _ in rows] for _ in range(k)]
-    for s, row in enumerate(rows):
-        for dig, t in enumerate(row):
+    for s in order:
+        for dig, t in enumerate(rows[s]):
             preimages[dig][t].append(s)
     return preimages
 

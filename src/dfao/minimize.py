@@ -80,7 +80,7 @@ def moore_partition(d: Dfao) -> Partition:
     """
     a = d.automaton
     n, k = len(a.states), a.k
-    preimages = _preimages(a.transition, k)
+    preimages = _preimages(a.transition, k, range(n))
 
     block_of = _renumber(d.output)
     n_blocks = max(block_of) + 1

@@ -31,7 +31,9 @@ whose final edge carries some digit x, followed by a loop from s back to
 s whose final edge carries a digit y != x; conversely every entry+loop
 concatenation of that shape clashes.  Both halves are shortest-path
 problems, so n is the minimum of entry(s, x) + loop(s, y) over all states
-s and ordered digit pairs x != y, computed from breadth-first distances.
+s and ordered digit pairs x != y, computed from breadth-first distances:
+entry(s, x) is one past the depth of the first digit-x in-neighbour of s
+that the search from the initial state reaches; no table of entries is kept.
 
 The loop searches are bounded without changing n or the set of states
 that attain it.  States are visited in breadth-first order, so their
@@ -160,7 +162,8 @@ def _arrival(dist: list[int | None], feeders: list[int]) -> int | None:
 
 def state_homogeneity(a: Automaton) -> tuple[StateHomogeneity, ...]:
     """Whole-graph in-edge verdict for every state, in state order.  O(nk)
-    for n states: one pass over the transition table."""
+    for n states: one pass over the transition table.  At most k + 2
+    verdicts differ; each is immutable, built once and shared."""
     n = len(a.states)
     label: list[int | None] = [None] * n
     mixed = [False] * n
@@ -170,10 +173,9 @@ def state_homogeneity(a: Automaton) -> tuple[StateHomogeneity, ...]:
                 label[t] = dig
             elif label[t] != dig:
                 mixed[t] = True
-    return tuple(
-        StateHomogeneity(False, None) if mixed[s] else StateHomogeneity(True, label[s])
-        for s in range(n)
-    )
+    inhomogeneous = StateHomogeneity(False, None)
+    homogeneous = {d: StateHomogeneity(True, d) for d in set(label)}
+    return tuple(inhomogeneous if m else homogeneous[d] for m, d in zip(mixed, label))
 
 
 def is_homogeneous_automaton(a: Automaton) -> bool:
@@ -224,28 +226,25 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     memory stays O(n), not O(n) per tie; ties are few (about 1.7 per
     random machine of the analyze-random benchmark, 1 per cycle chain).
 
-    Cost: one depth-bounded breadth-first search, O(nk), per candidate
+    Cost: O(nk) for the search from the initial state and its lists of
+    reached in-neighbours, whose first entries give a visited state's
+    shortest entries, and one depth-bounded search, O(nk), per candidate
     state, and one more per tied state.  That is O(n^2 k) on cycle chains:
     every state there is entered on every digit and its shortest loop is
     the whole cycle, so every state is a candidate and no bound cuts its
     search short.
     """
-    n, k = len(a.states), a.k
-    preimages = _preimages(a.transition, k)
     order0, dist0 = _bfs(a.transition, a.initial)
-    # Breadth-first order meets each (state, digit) first on a shortest entry.
-    entry: list[list[int | None]] = [[None] * k for _ in range(n)]
-    for r in order0:
-        for dig, t in enumerate(a.transition[r]):
-            if entry[t][dig] is None:
-                entry[t][dig] = dist0[r] + 1
+    # Reached feeders in breadth-first order, so the first one is the shallowest.
+    preimages = _preimages(a.transition, a.k, order0)
 
     # Only states entered on two distinct digits can host a clash; the
     # visiting order and both bounds are justified in the module docstring.
     best_total: int | None = None
     tied: list[tuple[int, int]] = []  # (state, shortest entry) at best_total
     for s in order0:
-        entries = [e for e in entry[s] if e is not None]
+        entry = [dist0[p[s][0]] + 1 if p[s] else None for p in preimages]
+        entries = [e for e in entry if e is not None]
         if len(entries) < 2:
             continue
         entry_min = min(entries)
@@ -257,7 +256,7 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         total = min(
             (
                 e + lp
-                for d1, e in enumerate(entry[s])
+                for d1, e in enumerate(entry)
                 if e is not None
                 for d2, lp in enumerate(loop)
                 if d2 != d1 and lp is not None

@@ -307,14 +307,10 @@ def moore_reference(d: Dfao) -> Partition:
     """Moore's round-by-round refinement, O(n^2 k): each round recomputes
     every state's signature (its block and its successors' blocks) and
     stops when no block splits."""
-    a = d.automaton
-    n = len(a.states)
     block = _renumber(d.output)
+    columns = list(zip(*d.automaton.transition))  # columns[dig][s]: s's digit-dig successor
     while True:
-        signature = [
-            (block[s], *(block[a.transition[s][dig]] for dig in range(a.k)))
-            for s in range(n)
-        ]
+        signature = zip(block, *(map(block.__getitem__, col) for col in columns))
         refined = _renumber(signature)
         if max(refined) == max(block):
             return Partition(tuple(refined), max(refined) + 1)

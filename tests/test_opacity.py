@@ -5,13 +5,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
-from dfao.automaton import RawDfao, _bfs, make_dfao, validate
+from dfao.automaton import Automaton, RawDfao, _bfs, _preimages, make_dfao, validate
 from dfao.corpus import build
 from dfao.dyadic import ZERO, pow2inv
 from dfao.minimize import intrinsic_automaton
 from dfao.opacity import (
     MAX_OPACITY,
     Classification,
+    StateHomogeneity,
     analyze_sequence,
     compute_opacity,
     is_homogeneous_automaton,
@@ -98,6 +99,69 @@ def test_state_with_no_in_edges_counts_homogeneous():
     d = make_dfao(2, {"A": ("B", "B"), "B": ("B", "B")}, "A", {"A": "0", "B": "1"})
     verdicts = state_homogeneity(d.automaton)
     assert verdicts[0] == type(verdicts[0])(True, None)
+
+
+def _raw_automaton(rng, k, n, fed_initial=True):
+    """Directly built, unpruned machine with its initial state at a random
+    index; with fed_initial False (and n > 1) no edge enters that state."""
+    initial = rng.randrange(n)
+    targets = [t for t in range(n) if fed_initial or n == 1 or t != initial]
+    rows = tuple(tuple(rng.choice(targets) for _ in range(k)) for _ in range(n))
+    return Automaton(k, tuple(f"q{i}" for i in range(n)), initial, rows)
+
+
+def test_state_homogeneity_shares_one_verdict_per_value():
+    """Against a per-state reference from the definition, on pruned
+    machines and on directly built ones with unreachable states or an
+    initial state that no edge enters: the verdicts are equal, and each
+    distinct verdict is one object, so at most k + 2 objects in all."""
+    rng = random.Random(37)
+    unreachable = unfed_initial = 0
+    for i in range(600):
+        k, n = rng.choice((2, 3, 4)), rng.randint(1, 12)
+        if i % 3 == 0:
+            a = random_dfao(rng, k=k, max_states=n).automaton
+        else:
+            a = _raw_automaton(rng, k, n, fed_initial=i % 3 == 1)
+        expected = []
+        for t in range(len(a.states)):
+            digits = {d for row in a.transition for d, u in enumerate(row) if u == t}
+            if len(digits) > 1:
+                expected.append(StateHomogeneity(False, None))
+            else:
+                expected.append(StateHomogeneity(True, next(iter(digits), None)))
+        got = state_homogeneity(a)
+        assert got == tuple(expected)
+        assert len({id(v) for v in got}) == len(set(got)) <= a.k + 2
+        unreachable += len(_bfs(a.transition, a.initial)[0]) < len(a.states)
+        unfed_initial += expected[a.initial] == StateHomogeneity(True, None)
+    assert unreachable >= 80 and unfed_initial >= 150
+
+
+def test_breadth_first_preimages_give_shortest_entries():
+    """Unpruned machines with a random initial index, so index order is not
+    breadth-first order.  Preimage lists built along the breadth-first
+    order hold exactly the reached feeders, in that order, and the first
+    one listed gives the shortest entry on its digit; the witness search,
+    which reads its entries there, returns the exhaustive lexmin."""
+    rng = random.Random(41)
+    out_of_order = 0
+    for _ in range(400):
+        a = _raw_automaton(rng, rng.choice((2, 3)), rng.randint(2, 7))
+        n, rows = len(a.states), a.transition
+        order0, dist0 = _bfs(rows, a.initial)
+        out_of_order += order0 != sorted(order0)
+        preimages = _preimages(rows, a.k, order0)
+        for d, preimage in enumerate(preimages):
+            for t in range(n):
+                assert preimage[t] == [r for r in order0 if rows[r][d] == t]
+                if dist0[t] is not None:
+                    first = dist0[preimage[t][0]] + 1 if preimage[t] else None
+                    assert first == entry_distance(a, t, d)
+        got = shortest_inhomogeneous_path(a)
+        if got is not None:
+            _assert_witness_is_exhaustive_lexmin(a, got, len(got.word))
+    assert out_of_order >= 200
 
 
 def test_is_homogeneous_automaton_on_corpus():
