@@ -43,9 +43,18 @@ least one edge, so once e(s) + 1 exceeds the best total found so far,
 neither this state nor any later one can match it, and the search stops.
 A visited state can only match the best total b with a loop of at most
 b - e(s) edges, whose last edge leaves a state at most b - e(s) - 1
-edges from s, so its breadth-first search stops at that depth.  Every
-total that does not exceed the running best is therefore exact, ties
-included, and the states whose total is the final n are exactly known.
+edges from s, so its breadth-first search stops at that depth.  Some
+of these searches are skipped outright.  Every cycle through s ends on
+an edge r -> s, so it is a cycle through that in-neighbour r too, and
+the shortest cycle through s is at least the least shortest cycle
+through any in-neighbour.  A searched state records a lower bound on
+its shortest cycle: the shortest loop found, which is exact, or one edge
+more than its search could find; a skipped state records the bound it
+was skipped on, and a state never searched the trivial bound of one
+edge.  When every in-neighbour's bound exceeds b - e(s), no loop at s
+can match b, and s needs no search.  Every total that does not exceed
+the running best is therefore exact, ties included, and the states
+whose total is the final n are exactly known.
 
 The witness is the lexicographically smallest clashing word of length n,
 and both of its halves are shortest words.  In such a word the final
@@ -228,20 +237,25 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
 
     Cost: O(nk) for the search from the initial state and its lists of
     reached in-neighbours, whose first entries give a visited state's
-    shortest entries, and one depth-bounded search, O(nk), per candidate
-    state, and one more per tied state.  That is O(n^2 k) on cycle chains:
-    every state there is entered on every digit and its shortest loop is
-    the whole cycle, so every state is a candidate and no bound cuts its
-    search short.
+    shortest entries, one depth-bounded search, O(nk), per candidate state
+    that its in-neighbours' cycle bounds do not rule out, and one more per
+    tied state.  That is O(nk) on cycle chains: every state there is a
+    candidate, but after the first full loop search each next state's
+    in-neighbour carries a bound longer than any loop that could still
+    tie.  The worst case stays O(n^2 k): the bound cannot cut a candidate
+    with an in-neighbour that was never searched, as on a cycle where
+    every other state is entered on one digit only and so is no candidate.
     """
     order0, dist0 = _bfs(a.transition, a.initial)
     # Reached feeders in breadth-first order, so the first one is the shallowest.
     preimages = _preimages(a.transition, a.k, order0)
 
     # Only states entered on two distinct digits can host a clash; the
-    # visiting order and both bounds are justified in the module docstring.
+    # visiting order, both bounds and the skip on the in-neighbours' cycle
+    # bounds are justified in the module docstring.
     best_total: int | None = None
     tied: list[tuple[int, int]] = []  # (state, shortest entry) at best_total
+    cycle = [1] * len(a.states)  # lower bound on the shortest cycle through each state
     for s in order0:
         entry = [dist0[p[s][0]] + 1 if p[s] else None for p in preimages]
         entries = [e for e in entry if e is not None]
@@ -251,8 +265,13 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         if best_total is not None and entry_min + 1 > best_total:
             break
         limit = None if best_total is None else best_total - entry_min - 1
+        if limit is not None and all(cycle[r] > limit + 1 for p in preimages for r in p[s]):
+            cycle[s] = limit + 2
+            continue
         _, dist_s = _bfs(a.transition, s, limit)
         loop = [_arrival(dist_s, preimage[s]) for preimage in preimages]
+        loops = [lp for lp in loop if lp is not None]
+        cycle[s] = min(loops) if loops else (len(a.states) + 1 if limit is None else limit + 2)
         total = min(
             (
                 e + lp

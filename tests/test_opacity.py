@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
+from dfao import opacity
 from dfao.automaton import Automaton, RawDfao, _bfs, _preimages, make_dfao, validate
 from dfao.corpus import build
 from dfao.dyadic import ZERO, pow2inv
@@ -344,10 +345,38 @@ def test_cycle_chain_witness_is_one_then_n_zeros():
     only after a full lap of n edges, so the witness is as long as the
     machine, a one-edge head followed by a shortest loop of n edges."""
     for k in (2, 3):
-        for n in range(2, 41):
+        for n in range(2, 256):
             rep = analyze_sequence(cycle_chain(n, k))
             assert rep.witness.word == (1,) + (0,) * n, (n, k)
             assert (rep.witness.position_a, rep.witness.position_b) == (0, n)
+
+
+def _witness_and_searches(monkeypatch, a):
+    """The witness of `a`, and the number of states that each breadth-first
+    search of the witness search reached, in call order."""
+    reached = []
+
+    def counted(rows, start, limit=None):
+        order, dist = _bfs(rows, start, limit)
+        reached.append(len(order))
+        return order, dist
+
+    with monkeypatch.context() as patch:
+        patch.setattr(opacity, "_bfs", counted)
+        return shortest_inhomogeneous_path(a), reached
+
+
+def test_witness_search_is_linear_on_cycle_chains(monkeypatch):
+    """After the first full loop search every later chain state is ruled
+    out by its in-neighbour's cycle bound, so the breadth-first searches
+    visit at most 3(n + 1) states in all: the search from the initial
+    state, one full loop search and the search again from the tied state."""
+    for n in (64, 128, 255):
+        for k in (2, 3):
+            a = intrinsic_automaton(cycle_chain(n, k)).target.automaton
+            got, reached = _witness_and_searches(monkeypatch, a)
+            assert got.word == (1,) + (0,) * n
+            assert sum(reached) <= 3 * (n + 1), (n, k, sum(reached))
 
 
 def _visited_candidates(a):
@@ -399,6 +428,57 @@ def test_witness_on_machines_listed_out_of_breadth_first_order():
         elif a.k ** (2 * len(a.states) + 2) <= 10**5:
             _assert_witness_is_exhaustive_lexmin(a, got, 2 * len(a.states) + 2)
     assert long_initial >= 20 and improved_after_tie >= 3
+
+
+def _chorded_cycle(rng, n, k, chords):
+    """A cycle of n states stepped by every digit, with a few edges sent to
+    random states (self-loops included), and a random initial index."""
+    rows = [[(i + 1) % n] * k for i in range(n)]
+    for _ in range(chords):
+        rows[rng.randrange(n)][rng.randrange(k)] = rng.randrange(n)
+    return Automaton(k, tuple(f"q{i}" for i in range(n)), rng.randrange(n), tuple(map(tuple, rows)))
+
+
+def test_witness_where_the_cycle_bound_skips_loop_searches(monkeypatch):
+    """Cycles with a few chords and chains with shuffled outputs, where
+    many candidates are ruled out by an in-neighbour's cycle bound without
+    a loop search.  The witness is the exhaustive lexmin where that sweep
+    is small, and elsewhere as long as the shortest exact clash through
+    any candidate.  A skip shows as a candidate that the search reaches
+    (before the entry bound stops it) but runs no loop search for."""
+    rng = random.Random(43)
+    machines = []
+    for _ in range(300):
+        n = rng.randint(3, 40)
+        machines.append(_chorded_cycle(rng, n, rng.choice((2, 3)), rng.randint(1, 3)))
+    for _ in range(40):
+        n, k = rng.randint(3, 60), rng.choice((2, 3))
+        ones = rng.randint(1, n - 1)
+        outputs = ["1"] * ones + ["0"] * (n - ones)
+        rng.shuffle(outputs)
+        rows = {f"c{i}": (f"c{(i + 1) % n}",) * k for i in range(n)}
+        d = make_dfao(k, rows, "c0", {f"c{i}": outputs[i] for i in range(n)})
+        machines.append(intrinsic_automaton(d).target.automaton)
+    skipped = exhaustive = 0
+    for a in machines:
+        got, searches = _witness_and_searches(monkeypatch, a)
+        visited = _visited_candidates(a)
+        totals = [total for _, _, total in visited if total is not None]
+        best = min(totals, default=None)
+        assert (None if got is None else len(got.word)) == best
+        if got is not None and a.k ** len(got.word) <= 3 * 10**4:
+            _assert_witness_is_exhaustive_lexmin(a, got, len(got.word))
+            exhaustive += 1
+        reached, running = 0, None
+        for _, entry_min, total in visited:
+            if running is not None and entry_min + 1 > running:
+                break
+            reached += 1
+            if total is not None and (running is None or total < running):
+                running = total
+        ties = totals.count(best)
+        skipped += reached - (len(searches) - 1 - ties)
+    assert exhaustive >= 150 and skipped >= 4000, (exhaustive, skipped)
 
 
 def test_intrinsic_breadth_first_order_is_index_order():
