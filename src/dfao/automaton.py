@@ -448,30 +448,3 @@ def are_equivalent(d1: Dfao, d2: Dfao) -> bool:
                 queue.append(pair)
     return True
 
-
-_LETTERS = tuple(chr(c) for c in range(ord("A"), ord("Z") + 1))
-
-
-def _canonical(
-    k: int,
-    rows: Sequence[Sequence[int]],
-    initial: int,
-    outputs: Sequence[str],
-) -> tuple[Dfao, list[int]]:
-    """The canonical machine of the graph rows[s][digit] with these outputs,
-    and the map from row index to canonical index; every row must be
-    reachable from `initial`.
-
-    States are relabeled in breadth-first discovery order, digits
-    ascending, and named A .. Z, then s26, s27, ...  Isomorphic machines
-    get identical descriptions, whatever their state names or listing
-    order.  The machine is built unchecked.  O(nk) for n states.
-    """
-    order, _ = _bfs(rows, initial)
-    n = len(rows)
-    if len(order) != n:
-        raise UnknownState("canonical form needs every state reachable")
-    relabel, canonical_rows = _relabel_rows(rows, order, k)
-    names = _LETTERS[:n] + tuple(f"s{i}" for i in range(26, n))
-    target = _build(k, names, 0, canonical_rows, tuple(map(outputs.__getitem__, order)))
-    return target, relabel

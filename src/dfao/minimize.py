@@ -17,7 +17,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Hashable, Sequence
 
-from .automaton import Dfao, _canonical, _preimages, _relabel_rows
+from .automaton import Dfao, _bfs, _build, _preimages, _relabel_rows
+from .errors import UnknownState
+
+_LETTERS = tuple(chr(c) for c in range(ord("A"), ord("Z") + 1))
 
 
 @dataclass(frozen=True)
@@ -140,24 +143,36 @@ def minimize(d: Dfao) -> FactorMap:
 
     The target generates the same sequence as the source, has no two
     indistinguishable states, and is the unique smallest such machine up
-    to renaming; since it is returned in canonical form, equal targets
-    mean isomorphic minimizations.  It is built in one step from the block
-    graph, where block b steps on each digit to the block of its smallest
-    member's successor, so it is the canonical form of the quotient.
-    Besides the refinement, this costs O(nk) for n states.
+    to renaming; since it is returned in canonical form (states numbered
+    in breadth-first order, digits ascending, and named A .. Z, then s26,
+    s27, ...), equal targets mean isomorphic minimizations.
+
+    A search of the source meets states in the order of their smallest
+    shortest words.  Mates step to mates, so a word reaches a block in
+    the quotient exactly when it reaches one of its members here: blocks
+    are numbered as this search first meets them, and each takes its
+    first member's row, successors replaced by their blocks.  A block
+    with no reachable member raises UnknownState.  Beyond the refinement,
+    the one search and one relabeling cost O(nk) for n states.
     """
     part = moore_partition(d)
     a = d.automaton
     block_of = part.block_of
-    reps: list[int] = []  # each block's smallest member, in block order
-    for s, b in enumerate(block_of):
-        if b == len(reps):
+    canon: list[int | None] = [None] * part.n_blocks
+    reps: list[int] = []  # each block's first member met, in canonical order
+    for s in _bfs(a.transition, a.initial)[0]:
+        b = block_of[s]
+        if canon[b] is None:
+            canon[b] = len(reps)
             reps.append(s)
-    _, rows = _relabel_rows(a.transition, reps, a.k, block_of)
-    target, relabel = _canonical(
-        a.k, rows, block_of[a.initial], tuple(map(d.output.__getitem__, reps))
-    )
-    return FactorMap(d, target, tuple(map(relabel.__getitem__, block_of)))
+    n = len(reps)
+    if n != part.n_blocks:
+        raise UnknownState("canonical form needs every state reachable")
+    assignment = tuple(map(canon.__getitem__, block_of))
+    _, rows = _relabel_rows(a.transition, reps, a.k, assignment)
+    names = _LETTERS[:n] + tuple(f"s{i}" for i in range(26, n))
+    target = _build(a.k, names, 0, rows, tuple(map(d.output.__getitem__, reps)))
+    return FactorMap(d, target, assignment)
 
 
 def intrinsic_automaton(d: Dfao) -> FactorMap:

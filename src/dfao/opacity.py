@@ -36,11 +36,11 @@ entry(s, x) is one past the depth of the first digit-x in-neighbour of s
 that the search from the initial state reaches; no table of entries is kept.
 
 The loop searches are bounded without changing n or the set of states
-that attain it.  States are visited in breadth-first order, so their
-shortest entries e(s), their depths, never decrease.  The initial
-state's is a loop, but it comes first, before any bound.  A loop has at
-least one edge, so once e(s) + 1 exceeds the best total found so far,
-neither this state nor any later one can match it, and the search stops.
+that attain it.  The best total starts above any total, at 2m + 1 for
+m states, as an entry and a loop each take at most m edges.  States are
+visited in breadth-first order, so their shortest entries e(s) never
+decrease (the initial state's, a loop, comes first), and a loop has an
+edge: once e(s) + 1 exceeds the best total, no state left can match it.
 A visited state can only match the best total b with a loop of at most
 b - e(s) edges, whose last edge leaves a state at most b - e(s) - 1
 edges from s, so its breadth-first search stops at that depth.  Some
@@ -253,7 +253,7 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     # Only states entered on two distinct digits can host a clash; the
     # visiting order, both bounds and the skip on the in-neighbours' cycle
     # bounds are justified in the module docstring.
-    best_total: int | None = None
+    best_total = 2 * len(a.states) + 1  # exceeds every total (module docstring)
     tied: list[tuple[int, int]] = []  # (state, shortest entry) at best_total
     cycle = [1] * len(a.states)  # lower bound on the shortest cycle through each state
     for s in order0:
@@ -262,16 +262,16 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         if len(entries) < 2:
             continue
         entry_min = min(entries)
-        if best_total is not None and entry_min + 1 > best_total:
+        if entry_min + 1 > best_total:
             break
-        limit = None if best_total is None else best_total - entry_min - 1
-        if limit is not None and all(cycle[r] > limit + 1 for p in preimages for r in p[s]):
+        limit = best_total - entry_min - 1
+        if all(cycle[r] > limit + 1 for p in preimages for r in p[s]):
             cycle[s] = limit + 2
             continue
         _, dist_s = _bfs(a.transition, s, limit)
         loop = [_arrival(dist_s, preimage[s]) for preimage in preimages]
         loops = [lp for lp in loop if lp is not None]
-        cycle[s] = min(loops) if loops else (len(a.states) + 1 if limit is None else limit + 2)
+        cycle[s] = min(loops) if loops else limit + 2
         total = min(
             (
                 e + lp
@@ -280,11 +280,11 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
                 for d2, lp in enumerate(loop)
                 if d2 != d1 and lp is not None
             ),
-            default=None,
+            default=best_total + 1,
         )
-        if total is None or (best_total is not None and total > best_total):
+        if total > best_total:
             continue
-        if best_total is None or total < best_total:
+        if total < best_total:
             best_total, tied = total, []
         tied.append((s, entry_min))
 

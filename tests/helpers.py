@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from dfao.automaton import (
     RawDfao,
     Word,
     _bfs,
-    _canonical,
     make_dfao,
     validate,
 )
@@ -74,11 +74,26 @@ def canonicalize(d: Dfao) -> tuple[Dfao, tuple[int, ...]]:
     Returns the relabeled machine and the index map old -> new.  Isomorphic
     machines canonicalize to identical descriptions, whatever their state
     names or listing order, so equality of canonical forms decides
-    isomorphism.  States are named A .. Z, then s26, s27, ...
+    isomorphism.  States are named A .. Z, then s26, s27, ...  A reference
+    for `minimize`'s canonical order: its own queue search, built through
+    the checked constructors; every state must be reachable.
     """
     a = d.automaton
-    target, relabel = _canonical(a.k, a.transition, a.initial, d.output)
-    return target, tuple(relabel)
+    relabel = {a.initial: 0}
+    queue = deque([a.initial])
+    while queue:
+        for t in a.transition[queue.popleft()]:
+            if t not in relabel:
+                relabel[t] = len(relabel)
+                queue.append(t)
+    n = len(a.states)
+    if len(relabel) != n:
+        raise UnknownState("canonical form needs every state reachable")
+    order = list(relabel)  # in discovery order
+    names = tuple(chr(ord("A") + i) if i < 26 else f"s{i}" for i in range(n))
+    rows = tuple(tuple(relabel[t] for t in a.transition[s]) for s in order)
+    target = Dfao(Automaton(a.k, names, 0, rows), tuple(d.output[s] for s in order))
+    return target, tuple(relabel[s] for s in range(n))
 
 
 def canonical_form(d: Dfao) -> Dfao:

@@ -1,6 +1,7 @@
 """Static checks on the package and test source, with the standard library
-only: no module imports a name it never uses, and `dfao.__all__` lists
-exactly the names the package imports."""
+only: no module imports a name it never uses, every private module-level
+name of the package is read by the package itself, and `dfao.__all__`
+lists exactly the names the package imports."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,36 @@ def test_no_test_module_imports_an_unused_name():
     assert len(modules) >= 15
     for path in modules:
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private module-level names defined in `sources` that no source reads."""
+    defined, read = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        read.update(
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        )
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
+def test_unread_private_names_are_found():
+    sources = ["_A = 1\n_B: int = 2\ndef _f(): return _A\n", "class _C: ...\nprint(_f)\n"]
+    assert unread_private_names(sources) == ["_B", "_C"]
+
+
+def test_every_private_name_is_read_by_the_package():
+    # a helper kept only for the tests to call fails here
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given
 
-from dfao.automaton import are_equivalent, make_dfao
+from dfao.automaton import Automaton, Dfao, are_equivalent, make_dfao
 from dfao.corpus import ENTRIES, build
+from dfao.errors import UnknownState
 from dfao.minimize import intrinsic_automaton, minimize, moore_partition
 from helpers import (
     blocks,
@@ -67,6 +69,38 @@ def test_minimize_recovers_thue_morse():
     fm = minimize(tm_with_split_a())
     assert fm.target == build("thue_morse")
     assert fm.assignment == (0, 0, 1)
+
+
+def test_minimize_names_states_canonically():
+    d = cycle_chain(30, 2).normalize_zero()
+    letters = tuple(chr(c) for c in range(ord("A"), ord("Z") + 1))
+    assert minimize(d).target.states == letters + ("s26", "s27", "s28", "s29", "s30")
+
+
+def test_minimize_rejects_an_unreachable_block():
+    """Directly built machines skip pruning; C is unreachable and alone in
+    its block, so the quotient has a block no word reaches."""
+    d = Dfao(Automaton(2, ("A", "B", "C"), 0, ((1, 1), (0, 0), (0, 0))), ("0", "1", "2"))
+    for minimizer in (minimize, minimize_reference):
+        with pytest.raises(UnknownState, match="^canonical form needs every state reachable$"):
+            minimizer(d)
+
+
+def test_minimize_merges_unreachable_states_into_reachable_blocks():
+    """Unreachable states that are mates of reachable ones are no error:
+    every block is still reached."""
+    # X, unreachable, copies B; the initial state is A, listed second
+    tm = Dfao(Automaton(2, ("X", "A", "B"), 1, ((2, 1), (1, 2), (2, 1))), ("1", "0", "1"))
+    # one output over six states, of which U, V, X and Z are unreachable
+    rows = ((0, 1, 2), (3, 3, 3), (2, 4, 2), (5, 5, 0), (4, 4, 4), (1, 1, 1))
+    flat = Dfao(Automaton(3, tuple("UVWXYZ"), 2, rows), ("0",) * 6)
+    for d, target, assignment in (
+        (tm, build("thue_morse"), (1, 0, 1)),
+        (flat, Dfao(Automaton(3, ("A",), 0, ((0, 0, 0),)), ("0",)), (0,) * 6),
+    ):
+        for minimizer in (minimize, minimize_reference):
+            fm = minimizer(d)
+            assert (fm.target, fm.assignment) == (target, assignment)
 
 
 def test_minimize_factor_map_laws():
