@@ -50,9 +50,12 @@ the shortest cycle through s is at least the least shortest cycle
 through any in-neighbour.  A searched state records a lower bound on
 its shortest cycle: the shortest loop found, which is exact, or one edge
 more than its search could find; a skipped state records the bound it
-was skipped on, and a state never searched the trivial bound of one
-edge.  When every in-neighbour's bound exceeds b - e(s), no loop at s
-can match b, and s needs no search.  Every total that does not exceed
+was skipped on.  A state entered on fewer than two digits is never
+searched, and it records the least bound of its reached in-neighbours:
+every in-neighbour on a cycle through it is reachable from it, and so
+reached.  A state not yet visited carries the trivial bound of one edge.
+When every in-neighbour's bound exceeds b - e(s), no loop at s can match
+b, and s needs no search.  Every total that does not exceed
 the running best is therefore exact, ties included, and the states
 whose total is the final n are exactly known.
 
@@ -69,7 +72,12 @@ successors in digit order discovers states in the order of their
 smallest shortest words, by length and then lexicographically.  So heads
 of one length compare as (rank of the state their last edge leaves,
 digit), and so do tails, and a word is rebuilt backwards: a state's
-first-ranked in-neighbour is its parent on that word.
+first-ranked in-neighbour is its parent on that word.  Heads of one
+length into different states, or on different digits, are different
+words, so among the heads of one length that some tied state completes
+with a tail, only the smallest can start the witness: the words are
+rebuilt with one tail search per head length, from the state that
+smallest head enters.
 """
 
 from __future__ import annotations
@@ -197,29 +205,21 @@ def is_homogeneous_automaton(a: Automaton) -> bool:
     return all(v.homogeneous for v in state_homogeneity(a))
 
 
-def _feeders(
-    rank: dict[int, int], preimages: list[list[list[int]]], t: int
-) -> list[tuple[int, int, int]]:
-    """For each digit d that enters t from a state the search reached,
-    (rank of the first-ranked such state, d, that state); sorted, which
-    orders the smallest shortest words into t that end on each digit."""
-    found = []
-    for dig, preimage in enumerate(preimages):
-        reached = [(rank[r], r) for r in preimage[t] if r in rank]
-        if reached:
-            rk, r = min(reached)
-            found.append((rk, dig, r))
-    found.sort()
-    return found
-
-
 def _word(rank: dict[int, int], preimages: list[list[list[int]]], t: int) -> Word:
     """The smallest shortest word from the search's start into t, rebuilt
-    backwards through each state's first-ranked in-neighbour."""
+    backwards: each letter is the digit on which t's first-ranked reached
+    in-neighbour enters it, the smaller digit on a tie.  Each letter reads
+    t's in-neighbour lists once, keeping a running minimum of the ranks."""
     word = []
     while rank[t]:  # only the start has rank 0
-        _, dig, t = _feeders(rank, preimages, t)[0]
-        word.append(dig)
+        top = len(rank)
+        for dig, preimage in enumerate(preimages):
+            for r in preimage[t]:
+                rk = rank.get(r, top)
+                if rk < top:
+                    top, letter, parent = rk, dig, r
+        word.append(letter)
+        t = parent
     return tuple(reversed(word))
 
 
@@ -228,23 +228,31 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
 
     Among all shortest clashing words the lexicographically smallest is
     returned.  By the module docstring it is a shortest entry into some
-    tied state s followed by a shortest loop at s, so one breadth-first
-    search from the initial state and one from each tied state rank every
-    head and tail; at most one word is rebuilt per (state, head length).
-    Each tied state is searched again, not kept from its first search, so
-    memory stays O(n), not O(n) per tie; ties are few (about 1.7 per
-    random machine of the analyze-random benchmark, 1 per cycle chain).
+    tied state s followed by a shortest loop at s.  One breadth-first
+    search from the initial state ranks every head.  Each tie keeps its
+    per-digit entries and loop lengths, O(k), which give the head lengths
+    it completes; the smallest head of each length gets one tail search
+    from the state it enters, bounded by its tail's length, and one word.
+    A tie's loop search is not kept, so memory stays O(n), not O(n) per
+    tie; ties are few (about 1.7 per random machine of the analyze-random
+    benchmark, 1 per cycle chain).
 
     Cost: O(nk) for the search from the initial state and its lists of
     reached in-neighbours, whose first entries give a visited state's
-    shortest entries, one depth-bounded search, O(nk), per candidate state
-    that its in-neighbours' cycle bounds do not rule out, and one more per
-    tied state.  That is O(nk) on cycle chains: every state there is a
-    candidate, but after the first full loop search each next state's
-    in-neighbour carries a bound longer than any loop that could still
-    tie.  The worst case stays O(n^2 k): the bound cannot cut a candidate
-    with an in-neighbour that was never searched, as on a cycle where
-    every other state is entered on one digit only and so is no candidate.
+    shortest entries; one depth-bounded search, O(nk), per candidate state
+    that its in-neighbours' cycle bounds do not rule out; and per head
+    length one tail search and one word, O(nk) each.  That is O(nk) on
+    cycle chains: every state there is a candidate, but after the first
+    full loop search each next state's in-neighbour carries a bound longer
+    than any loop that could still tie.  It is O(nk) on the alternating
+    cycle too, where every other state is entered on one digit only: such
+    a state is never searched, but it inherits its in-neighbour's bound,
+    which then rules out the next candidate.  The worst case stays
+    O(n^2 k), in the candidate loop.  On the tree-cycle, a complete binary
+    tree whose leaves form one cycle run against breadth-first order,
+    every leaf is a candidate whose cycle in-neighbour is visited after
+    it, so no bound applies and every leaf is searched; all of them tie
+    with heads of one length, and one tail search rebuilds the witness.
     """
     order0, dist0 = _bfs(a.transition, a.initial)
     # Reached feeders in breadth-first order, so the first one is the shallowest.
@@ -254,22 +262,41 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     # visiting order, both bounds and the skip on the in-neighbours' cycle
     # bounds are justified in the module docstring.
     best_total = 2 * len(a.states) + 1  # exceeds every total (module docstring)
-    tied: list[tuple[int, int]] = []  # (state, shortest entry) at best_total
+    tied: list[tuple[int, list[int | None], list[int | None]]] = []  # (state, entries, loops)
     cycle = [1] * len(a.states)  # lower bound on the shortest cycle through each state
     for s in order0:
-        entry = [dist0[p[s][0]] + 1 if p[s] else None for p in preimages]
-        entries = [e for e in entry if e is not None]
-        if len(entries) < 2:
+        # One pass over s's in-neighbour lists: the digits entering s, the
+        # depth of its shallowest feeder, and the last digit's feeders.
+        digits, depth, feeders = 0, best_total, None
+        for p in preimages:
+            if p[s]:
+                feeders = p[s]
+                digits += 1
+                if dist0[feeders[0]] < depth:
+                    depth = dist0[feeders[0]]
+        if digits < 2:
+            if feeders:  # then all of s's in-neighbours; s inherits their least bound
+                cycle[s] = min(map(cycle.__getitem__, feeders))
             continue
-        entry_min = min(entries)
+        entry_min = depth + 1
         if entry_min + 1 > best_total:
             break
         limit = best_total - entry_min - 1
-        if all(cycle[r] > limit + 1 for p in preimages for r in p[s]):
+        # No loop search when every in-neighbour's cycle bound is too long
+        # for a loop at s to tie; the check stops at the first that is not.
+        for p in preimages:
+            for r in p[s]:
+                if cycle[r] <= limit + 1:
+                    break
+            else:
+                continue
+            break
+        else:
             cycle[s] = limit + 2
             continue
         _, dist_s = _bfs(a.transition, s, limit)
-        loop = [_arrival(dist_s, preimage[s]) for preimage in preimages]
+        entry = [dist0[p[s][0]] + 1 if p[s] else None for p in preimages]
+        loop = [_arrival(dist_s, p[s]) for p in preimages]
         loops = [lp for lp in loop if lp is not None]
         cycle[s] = min(loops) if loops else limit + 2
         total = min(
@@ -286,30 +313,41 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
             continue
         if total < best_total:
             best_total, tied = total, []
-        tied.append((s, entry_min))
+        tied.append((s, entry, loop))
 
-    # The smallest word over the tied states, from ranked heads and tails
-    # (module docstring); a word's head ends at its position_a.
+    # The smallest head of each length that some tie completes, ranked by
+    # (rank of the state its last edge leaves, digit): only it can start
+    # the witness (module docstring).  A tie's loops are exact up to the
+    # length a tail needs.
     rank0 = {t: i for i, t in enumerate(order0)}
+    heads: dict[int, tuple[int, int, int, int]] = {}
+    for s, entry, loop in tied:
+        for x, e in enumerate(entry):
+            if e is not None and any(
+                y != x and e + lp == best_total for y, lp in enumerate(loop) if lp is not None
+            ):
+                p = preimages[x][s][0]
+                head = (rank0[p], x, p, s)
+                heads[e] = min(heads.get(e, head), head)
+
+    # One tail search per head length, from the state that head enters.
+    # Every feeder of s on another digit that the search reaches ends a
+    # shortest tail, since no total is below best_total.  A word's head
+    # ends at its position_a.
     best: PathWitness | None = None
-    for s, entry_min in tied:
-        order_s, dist_s = _bfs(a.transition, s, best_total - entry_min - 1)
+    for head_len, (_, x, p, s) in heads.items():
+        order_s, _ = _bfs(a.transition, s, best_total - head_len - 1)
         rank_s = {t: i for i, t in enumerate(order_s)}
-        tails = _feeders(rank_s, preimages, s)
-        built = set()
-        for _, x, p in _feeders(rank0, preimages, s):
-            head_len = dist0[p] + 1
-            tail = next(
-                ((y, q) for _, y, q in tails if y != x and head_len + dist_s[q] + 1 == best_total),
-                None,
-            )
-            if tail is None or head_len in built:
-                continue
-            built.add(head_len)
-            y, q = tail
-            word = _word(rank0, preimages, p) + (x,) + _word(rank_s, preimages, q) + (y,)
-            if best is None or word < best.word:
-                best = PathWitness(word, s, head_len - 1)
+        _, y, q = min(
+            (rank_s[q], y, q)
+            for y, preimage in enumerate(preimages)
+            if y != x
+            for q in preimage[s]
+            if q in rank_s
+        )
+        word = _word(rank0, preimages, p) + (x,) + _word(rank_s, preimages, q) + (y,)
+        if best is None or word < best.word:
+            best = PathWitness(word, s, head_len - 1)
     return best
 
 

@@ -239,6 +239,27 @@ def cycle_chain(n: int, k: int) -> Dfao:
     )
 
 
+def alternating_cycle(n: int) -> Automaton:
+    """A binary cycle of n states (n even) from state 0: even state e steps
+    0 -> e+1 and 1 -> e+2, odd states step to the next state on both
+    digits.  Every odd state is entered on digit 0 only, so the witness
+    search never searches it for a loop."""
+    rows = tuple(((s + 1) % n, (s + 2) % n) if s % 2 == 0 else ((s + 1) % n,) * 2 for s in range(n))
+    return Automaton(2, tuple(f"q{s}" for s in range(n)), 0, rows)
+
+
+def tree_cycle(h: int) -> Automaton:
+    """A complete binary tree of depth h rooted at state 0 (internal state i
+    steps to 2i+1 and 2i+2), whose 2^h leaves form one cycle run against
+    breadth-first order: leaf j steps to leaf j-1 (mod 2^h) on both digits.
+    Every leaf is a clash candidate, and each one's cycle in-neighbour is
+    visited after it."""
+    leaves, first = 2**h, 2**h - 1
+    rows = tuple((2 * i + 1, 2 * i + 2) for i in range(first))
+    rows += tuple((first + (j - 1) % leaves,) * 2 for j in range(leaves))
+    return Automaton(2, tuple(f"q{s}" for s in range(len(rows))), 0, rows)
+
+
 def residue_machine(k: int, p: int) -> Dfao:
     """n mod p read in base k: delta(r, d) = (r k + d) mod p, output r at
     state r.  State r is entered only on digit r mod k, so it is

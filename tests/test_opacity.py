@@ -24,6 +24,7 @@ from dfao.opacity import (
 )
 from helpers import (
     all_words,
+    alternating_cycle,
     cycle_chain,
     entry_distance,
     exhaustive_shortest_clash,
@@ -34,6 +35,7 @@ from helpers import (
     small_automata,
     split_state,
     step,
+    tree_cycle,
 )
 
 
@@ -276,6 +278,9 @@ def test_witness_matches_exhaustive_lexmin():
                  "golay_shapiro", "paperfolding", "baum_sweet", "ternary_digit_sum")]
     machines += [random_dfao(rng, max_states=4).automaton for _ in range(60)]
     machines.append(transparent_but_inhomogeneous().automaton)
+    # the two shapes where the cycle bound alone used to leave the search quadratic
+    machines += [alternating_cycle(n) for n in range(2, 15, 2)]
+    machines += [tree_cycle(h) for h in range(4)]
     for a in machines:
         _assert_witness_is_exhaustive_lexmin(a, shortest_inhomogeneous_path(a), 2 * len(a.states) + 2)
 
@@ -370,13 +375,37 @@ def test_witness_search_is_linear_on_cycle_chains(monkeypatch):
     """After the first full loop search every later chain state is ruled
     out by its in-neighbour's cycle bound, so the breadth-first searches
     visit at most 3(n + 1) states in all: the search from the initial
-    state, one full loop search and the search again from the tied state."""
+    state, one full loop search and one tail search from the tied state."""
     for n in (64, 128, 255):
         for k in (2, 3):
             a = intrinsic_automaton(cycle_chain(n, k)).target.automaton
             got, reached = _witness_and_searches(monkeypatch, a)
             assert got.word == (1,) + (0,) * n
             assert sum(reached) <= 3 * (n + 1), (n, k, sum(reached))
+
+
+def test_witness_search_is_linear_on_alternating_cycles(monkeypatch):
+    """The odd states are entered on one digit only, so they are never
+    searched; each inherits its in-neighbour's cycle bound, and through it
+    every even state after the first few is ruled out.  The searches reach
+    at most 6n states in all, O(nk), not the O(n^2 k) of a trivial bound."""
+    for n in (64, 128, 256, 512, 1024):
+        got, reached = _witness_and_searches(monkeypatch, alternating_cycle(n))
+        assert got.word == (0, 0) + (1,) * (n // 2)
+        assert (got.collide_state, got.position_a) == (2, 1)
+        assert sum(reached) <= 6 * n, (n, sum(reached))
+
+
+def test_witness_search_on_tree_cycles_runs_one_tail_search(monkeypatch):
+    """Every leaf is a candidate whose cycle in-neighbour is visited after
+    it, so each leaf gets a loop search (the quadratic case that remains),
+    and all 2^h leaves tie.  Their heads all have length h, so only the
+    smallest is completed: one tail search, 2^h + 2 searches in all."""
+    for h in (4, 6, 8):
+        got, reached = _witness_and_searches(monkeypatch, tree_cycle(h))
+        assert got.word == (0,) * (h + 2**h - 1) + (1,)
+        assert (got.collide_state, got.position_a) == (2**h - 1, h - 1)
+        assert len(reached) <= 2**h + 2, (h, len(reached))
 
 
 def _visited_candidates(a):
@@ -476,8 +505,17 @@ def test_witness_where_the_cycle_bound_skips_loop_searches(monkeypatch):
             reached += 1
             if total is not None and (running is None or total < running):
                 running = total
-        ties = totals.count(best)
-        skipped += reached - (len(searches) - 1 - ties)
+        # the rebuild runs one tail search per head length that completes a tie
+        head_lengths = set()
+        for s, _, total in visited:
+            if total == best:
+                entries = [entry_distance(a, s, x) for x in range(a.k)]
+                loops = [return_distance(a, s, y) for y in range(a.k)]
+                head_lengths.update(
+                    e for x, e in enumerate(entries) for y, lp in enumerate(loops)
+                    if y != x and e is not None and lp == best - e
+                )
+        skipped += reached - (len(searches) - 1 - len(head_lengths))
     assert exhaustive >= 150 and skipped >= 4000, (exhaustive, skipped)
 
 
