@@ -23,8 +23,18 @@ from .minimize import intrinsic_automaton, minimize
 from .opacity import AnalysisReport, PathWitness, analyze_sequence, shortest_inhomogeneous_path
 from .oracle import brute_force_opacity, oracle_bound
 
+# Largest .aut file read, in bytes.  `analyze` on a random binary file just
+# under it peaks at about 22 resident bytes per byte of text, so it still
+# answers under a 600 MB address-space cap.
+AUT_SIZE_LIMIT = 16 * 2**20
+
 
 def _load(path: str) -> Dfao:
+    size = Path(path).stat().st_size
+    if size > AUT_SIZE_LIMIT:
+        raise InstanceTooLarge(
+            f"{path}: {size} bytes of machine description, over the limit of {AUT_SIZE_LIMIT} bytes"
+        )
     try:
         # A byte-order mark is not part of the description; strip it after
         # decoding, so a decoding error counts bytes from the file's start.

@@ -50,7 +50,9 @@ class NoRecurrence(DfaoError):
 
 
 class InstanceTooLarge(DfaoError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """An input or an exhaustive enumeration would exceed its budget: a
+    machine file over the CLI's size limit, or an oracle sweep over its
+    relabeling or table budget."""
 
 
 class AutSyntaxError(DfaoError):

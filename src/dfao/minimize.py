@@ -2,17 +2,26 @@
 
 Two states are indistinguishable when every word read from them produces
 the same output trace.  The coarsest such partition (the Moore
-equivalence) is computed by Hopcroft's partition refinement in the
-in-place form of Valmari and Lehtinen (Valmari, "Fast brief practical DFA
-minimization", IPL 112, 2012): start from the output classes and split a
-block whenever some digit sends part of it into a splitter block and the
-rest elsewhere.  Each split re-queues only its smaller half, so a state
-is re-queued at most log2(n) times and the whole refinement costs
-O(n k log n) for n states and radix k.
+equivalence) is computed in two stages.  Signature rounds (Moore,
+"Gedanken-experiments on sequential machines", 1956) come first: each
+renumbers every state by its block and its successors' blocks, in one
+O(nk) pass for n states and radix k, and a random machine settles in a
+few of them.  They go on only while each round at least doubles the
+blocks or at least halves n minus the blocks, so there are O(log n) of
+them, and none is taken when one output class holds more than half of
+the states.  Where the rounds stall, as on a cycle that splits one state
+at a time, Hopcroft's partition refinement in the in-place form of
+Valmari and Lehtinen (Valmari, "Fast brief practical DFA minimization",
+IPL 112, 2012) finishes from the partition the rounds reached: it splits
+a block whenever some digit sends part of it into a splitter block and
+the rest elsewhere.  Each split re-queues only its smaller half, so a
+state is re-queued at most log2(n) times, and either stage costs
+O(n k log n).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Hashable, Sequence
@@ -64,29 +73,59 @@ def moore_partition(d: Dfao) -> Partition:
     """Coarsest partition where mates share an output and, digit by digit,
     successors in a common block.
 
-    Blocks are ranges of one array of states: block b holds
-    elems[first[b]:end[b]], and its marked members sit at the front, up to
-    mid[b].  Marking a state is one swap, and a split turns the smaller
-    of the marked and unmarked parts into a new block, so it costs no more
-    than the marking did.  A splitter is read from a snapshot of its
-    members, since it may itself split while it is being used.
+    Signature rounds come first.  A round renumbers the states by (own
+    block, digit-0 successor's block, ..., digit-(k-1) successor's block)
+    in one pass; the partition is found when a round splits nothing or
+    leaves every state alone.  A round costs O(nk) whatever it splits, so
+    the rounds go on only while each pays: it at least doubles the block
+    count, or at least halves n minus the block count.  Either can happen
+    at most log2(n) times, so the rounds cost O(n k log n) in all.  No
+    round is taken when the largest output class holds more than half of
+    the states: the refinement below never touches that class's
+    in-edges, while a round re-signs every state.  A cycle chain, with
+    classes of 1 and n - 1 states that split one state at a time, goes
+    straight to the refinement.
 
-    The queue starts with every output class but the largest; the digit
-    preimages of the classes cover all states, so stability against the
+    When the rounds stall, the partition is refined in place.  Blocks are
+    ranges of one array of states: block b holds elems[first[b]:end[b]],
+    and its marked members sit at the front, up to mid[b].  Marking a
+    state is one swap, and a split turns the smaller of the marked and
+    unmarked parts into a new block, so it costs no more than the marking
+    did.  A splitter is read from a snapshot of its members, since it may
+    itself split while it is being used.
+
+    The queue starts with every block but the largest; the digit
+    preimages of the blocks cover all states, so stability against the
     others implies it for that one.  When a block splits, its new part,
     always the smaller, is queued: if the block was queued, both parts
     must be, and the old part still is; if not, the partition is already
     stable against the union, so the smaller part settles the other.  The
-    coarsest partition is unique, and the blocks are renumbered by
-    smallest member at the end, so the result does not depend on the
-    order in which splitters were taken.  Cost O(n k log n).
+    start, the output classes or what the rounds made of them, refines
+    the output partition and is refined by the Moore equivalence, so its
+    coarsest stable refinement is that equivalence.  It is unique, and
+    the blocks are renumbered by smallest member at the end, so the
+    result does not depend on the route or on the order in which
+    splitters were taken.  Cost O(n k log n).
     """
     a = d.automaton
     n, k = len(a.states), a.k
-    preimages = _preimages(a.transition, k, range(n))
-
     block_of = _renumber(d.output)
     n_blocks = max(block_of) + 1
+    if n_blocks == n:
+        return Partition(tuple(block_of), n)
+    if 2 * max(Counter(block_of).values()) <= n:
+        columns = list(zip(*a.transition))  # columns[dig][s]: s's digit-dig successor
+        while True:
+            refined = _renumber(zip(block_of, *(map(block_of.__getitem__, col) for col in columns)))
+            count = max(refined) + 1
+            if count == n_blocks or count == n:
+                return Partition(tuple(refined), count)
+            paid = count >= 2 * n_blocks or 2 * (n - count) <= n - n_blocks
+            block_of, n_blocks = refined, count
+            if not paid:
+                break
+
+    preimages = _preimages(a.transition, k, range(n))
     elems = sorted(range(n), key=block_of.__getitem__)
     loc = [0] * n
     for i, s in enumerate(elems):

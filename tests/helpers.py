@@ -21,7 +21,7 @@ from dfao.automaton import (
 )
 from dfao.dyadic import ZERO, DyadicDistance, pow2inv
 from dfao.errors import BadRadix, UnknownState
-from dfao.minimize import FactorMap, Partition, _renumber, moore_partition
+from dfao.minimize import FactorMap, Partition, moore_partition
 from dfao.opacity import _arrival
 
 
@@ -339,15 +339,22 @@ def small_dfaos(draw):
     return Dfao(a, tuple(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))))
 
 
+def first_appearance(keys) -> list[int]:
+    """Number keys by first appearance: the i-th distinct key gets id i."""
+    ids = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
 def moore_reference(d: Dfao) -> Partition:
     """Moore's round-by-round refinement, O(n^2 k): each round recomputes
     every state's signature (its block and its successors' blocks) and
-    stops when no block splits."""
-    block = _renumber(d.output)
+    stops when no block splits.  It numbers blocks with its own
+    `first_appearance`, not the package's helper."""
+    block = first_appearance(d.output)
     columns = list(zip(*d.automaton.transition))  # columns[dig][s]: s's digit-dig successor
     while True:
         signature = zip(block, *(map(block.__getitem__, col) for col in columns))
-        refined = _renumber(signature)
+        refined = first_appearance(signature)
         if max(refined) == max(block):
             return Partition(tuple(refined), max(refined) + 1)
         block = refined

@@ -274,6 +274,35 @@ def test_non_utf8_file_fails_cleanly(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_oversized_file_is_refused_before_reading(tmp_path):
+    """A sparse file one byte over the size limit is refused by every
+    command that reads a machine file, in a child under a 600 MB
+    address-space cap, before any of it is read: the message names the
+    size and the limit."""
+    resource = pytest.importorskip("resource")
+    f = tmp_path / "huge.aut"
+    with open(f, "wb") as handle:
+        handle.truncate(cli.AUT_SIZE_LIMIT + 1)
+    small = aut("thue_morse")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    for argv in (["analyze", str(f)], ["minimize", str(f)], ["generate", str(f), "-n", "5"],
+                 ["dot", str(f)], ["equiv", small, str(f)]):
+        result = subprocess.run(
+            [sys.executable, "-m", "dfao.cli", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+        )
+        assert (result.returncode, result.stdout) == (1, ""), argv
+        assert result.stderr == (
+            f"error: {f}: {cli.AUT_SIZE_LIMIT + 1} bytes of machine description, "
+            f"over the limit of {cli.AUT_SIZE_LIMIT} bytes\n"
+        ), argv
+
+
 def test_byte_order_mark_is_ignored(tmp_path, capsys):
     """A UTF-8 file saved with a byte-order mark reads as the same machine,
     `minimize -o` writes it back without the mark, and a bad byte after the

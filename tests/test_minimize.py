@@ -1,9 +1,13 @@
 """Partition refinement, quotients and the intrinsic machine."""
 
+import math
 import random
+from collections import Counter
+from importlib import import_module
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from dfao.automaton import Automaton, Dfao, are_equivalent, make_dfao
 from dfao.corpus import ENTRIES, build
@@ -19,6 +23,7 @@ from helpers import (
     random_dfao,
     small_dfaos,
     split_state,
+    tree_cycle,
 )
 
 
@@ -195,23 +200,112 @@ def inflate(rng, d, n):
     return make_dfao(d.k, rows, "s0", {f"s{i}": d.output[o] for i, o in enumerate(origin)})
 
 
-def test_moore_partition_matches_reference_on_random_machines():
+def machine(k, rows, outputs):
+    """A directly built machine with states q0, q1, ... and q0 initial."""
+    names = tuple(f"q{s}" for s in range(len(rows)))
+    return Dfao(Automaton(k, names, 0, tuple(map(tuple, rows))), tuple(outputs))
+
+
+def copied_machine(rng):
+    """A random m-state machine with outputs 0, 1, 2, 0, ... copied c times,
+    each edge going to a random copy of its target: the rounds mostly end
+    stable with the copies merged."""
+    k, m, c = rng.choice((2, 3, 4)), rng.randint(2, 4), rng.randint(2, 20)
+    base = [[rng.randrange(m) for _ in range(k)] for _ in range(m)]
+    rows = [[rng.randrange(c) * m + t for t in base[s % m]] for s in range(m * c)]
+    return machine(k, rows, (str(s % m % 3) for s in range(m * c)))
+
+
+def three_token_machine(rng, n=None, k=None):
+    """A uniform random machine with three output tokens: the rounds
+    mostly end with every state alone."""
+    k = k or rng.choice((2, 3, 4))
+    n = n or rng.randint(50, 150)
+    rows = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+    return machine(k, rows, (rng.choice("012") for _ in range(n)))
+
+
+def stalling_machine(rng):
+    """A random part with alternating outputs 0, 1 and an even cycle with
+    the same outputs but for one defect: the rounds split the cycle one
+    state at a time, stall, and hand over to the refinement."""
+    k, r, cycle = rng.choice((2, 3)), 2 * rng.randint(2, 20), 2 * rng.randint(8, 40)
+    n = r + cycle
+    rows = [[rng.randrange(n) for _ in range(k)] for _ in range(r)]
+    rows += [[r + (j + 1) % cycle] * k for j in range(cycle)]
+    outputs = [str(s % 2) for s in range(n)]
+    outputs[r + rng.randrange(cycle)] = "2"
+    return machine(k, rows, outputs)
+
+
+def dominated_machine(rng):
+    """A uniform random machine whose output 0 covers more than half of
+    the states: the refinement runs from the output classes, no round."""
+    k, n = rng.choice((2, 3, 4)), rng.randint(3, 120)
+    outputs = ["0"] * n
+    for s in rng.sample(range(n), rng.randint(1, (n - 1) // 2)):
+        outputs[s] = rng.choice("12")
+    return machine(k, [[rng.randrange(n) for _ in range(k)] for _ in range(n)], outputs)
+
+
+def partition_and_calls(monkeypatch, d):
+    """moore_partition(d), and how often it called `_renumber` (once for
+    the output classes, once per round, once at the end of a refinement)
+    and `_preimages` (once per refinement)."""
+    module = import_module("dfao.minimize")
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in ("_renumber", "_preimages"):
+            patch.setattr(module, name, counting(name))
+        return moore_partition(d), calls["_renumber"], calls["_preimages"]
+
+
+def route(monkeypatch, d):
+    """Check moore_partition(d) against the reference and name its route."""
+    part, renumbers, refinements = partition_and_calls(monkeypatch, d)
+    assert part == moore_reference(d)
+    rounds = renumbers - 1 - refinements
+    if refinements:
+        return "handover" if rounds else "refinement"
+    return "singletons" if part.n_blocks == len(d.states) else "stable"
+
+
+def test_moore_partition_matches_reference_on_random_machines(monkeypatch):
     rng = random.Random(31)
     for _ in range(400):
         d = random_dfao(rng, max_states=12)
         assert moore_partition(d) == moore_reference(d)
         e = split_state(rng, d)
         assert moore_partition(e) == moore_reference(e)
+    singletons = Counter(route(monkeypatch, three_token_machine(rng)) for _ in range(100))
+    assert singletons["singletons"] >= 80, singletons
+    stalled = Counter(route(monkeypatch, stalling_machine(rng)) for _ in range(100))
+    assert stalled == {"handover": 100}
 
 
-def test_moore_partition_matches_reference_on_cycle_chains():
+def test_moore_partition_matches_reference_on_cycle_chains(monkeypatch):
     for k in (2, 3):
         for n in range(1, 201):
             d = cycle_chain(n, k).normalize_zero()
             assert moore_partition(d) == moore_reference(d), (n, k)
+        for n in range(3, 60):
+            assert route(monkeypatch, cycle_chain(n, k)) == "refinement", (n, k)
+    rng = random.Random(33)
+    dominated = Counter(route(monkeypatch, dominated_machine(rng)) for _ in range(100))
+    assert dominated == {"refinement": 100}
 
 
-def test_moore_partition_matches_reference_with_many_equal_states():
+def test_moore_partition_matches_reference_with_many_equal_states(monkeypatch):
     """Two output tokens over a few distinct behaviours, each copied many
     times: blocks split over many rounds and mates stay merged."""
     rng = random.Random(32)
@@ -222,11 +316,50 @@ def test_moore_partition_matches_reference_with_many_equal_states():
         part = moore_partition(d)
         assert part == moore_reference(d)
         assert part.n_blocks <= len(base.states)
+    stable = Counter(route(monkeypatch, copied_machine(rng)) for _ in range(100))
+    assert stable["stable"] >= 50, stable
 
 
-@given(small_dfaos())
-def test_moore_partition_equals_reference_property(d):
+ROUTE_FAMILIES = (copied_machine, three_token_machine, stalling_machine, dominated_machine)
+
+
+@given(small_dfaos(), st.sampled_from(ROUTE_FAMILIES), st.randoms(use_true_random=False))
+def test_moore_partition_equals_reference_property(d, family, rng):
     assert moore_partition(d) == moore_reference(d)
+    e = family(rng)
+    assert moore_partition(e) == moore_reference(e)
+
+
+def test_moore_partition_cost_on_random_tree_and_chain_machines(monkeypatch):
+    """Cost: each round but the last at least doubles the blocks or halves
+    n minus the blocks, so there are at most 2 ceil(log2 n) + 2
+    renumberings, O(n k log n) in C-level passes, and no in-edge lists
+    where the rounds settle the partition.
+    - Random machines with three output tokens settle in two or three
+      rounds.  One can still hand its last few splits over (about one in
+      ten at 2048 states and k = 2); these seeded ones do not.
+    - A complete binary tree whose leaves all output differently gains one
+      level of singletons per round: its blocks never double, but n minus
+      the blocks halves each time, so h renumberings settle depth h.
+    - On cycle chains the largest output class holds all but one state,
+      so no round is taken and the in-edge lists are built once."""
+    rng = random.Random(34)
+    for n in (256, 512, 1024, 2048):
+        for k in (2, 4):
+            _, renumbers, refinements = partition_and_calls(
+                monkeypatch, three_token_machine(rng, n, k))
+            assert refinements == 0, (n, k)
+            assert renumbers <= 2 * math.ceil(math.log2(n)) + 2, (n, k, renumbers)
+    for h in (8, 9, 10, 11):
+        a = tree_cycle(h)
+        first_leaf = 2**h - 1
+        d = Dfao(a, tuple("x" if s < first_leaf else f"y{s}" for s in range(len(a.states))))
+        part, renumbers, refinements = partition_and_calls(monkeypatch, d)
+        assert (part.n_blocks, renumbers, refinements) == (len(a.states), h, 0), h
+    for n in (64, 255):
+        for k in (2, 3):
+            d = cycle_chain(n, k).normalize_zero()
+            assert partition_and_calls(monkeypatch, d)[1:] == (2, 1), (n, k)
 
 
 @given(small_dfaos())
