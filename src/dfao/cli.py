@@ -27,6 +27,9 @@ from .oracle import brute_force_opacity, oracle_bound
 # under it peaks at about 22 resident bytes per byte of text, so it still
 # answers under a 600 MB address-space cap.
 AUT_SIZE_LIMIT = 16 * 2**20
+# Most terms `generate` prints.  At this count it peaks at about 245 MB
+# resident on one-character outputs, under a 600 MB address-space cap.
+TERM_LIMIT = 10**7
 
 
 def _load(path: str) -> Dfao:
@@ -35,14 +38,27 @@ def _load(path: str) -> Dfao:
         raise InstanceTooLarge(
             f"{path}: {size} bytes of machine description, over the limit of {AUT_SIZE_LIMIT} bytes"
         )
+    # A device or a pipe reports size 0, and a file can grow after `stat`,
+    # so the read stops one byte over the limit.  It asks for the stated
+    # size first, as a read allocates all that it asks for.
+    with open(path, "rb") as handle:
+        text = handle.read(size + 1)  # bytes until decoded
+        if len(text) > size:
+            text += handle.read(AUT_SIZE_LIMIT - size)
+    if len(text) > AUT_SIZE_LIMIT:
+        raise InstanceTooLarge(
+            f"{path}: machine description over the limit of {AUT_SIZE_LIMIT} bytes"
+        )
     try:
         # A byte-order mark is not part of the description; strip it after
         # decoding, so a decoding error counts bytes from the file's start.
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        text = text.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise AutSyntaxError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
+    # Line ends as text mode reads them: \r\n and a lone \r are each one \n.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     dfao, pruned = validate(parse_raw(text))
     if pruned:
         print(
@@ -188,6 +204,8 @@ def _term_count(text: str) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.count > TERM_LIMIT:
+        raise InstanceTooLarge(f"{args.count} terms requested, over the limit of {TERM_LIMIT} terms")
     dfao = _load(args.file)
     print(args.sep.join(dfao.generate(args.count)))
     return 0

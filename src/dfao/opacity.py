@@ -75,16 +75,20 @@ digit), and so do tails, and a word is rebuilt backwards: a state's
 first-ranked in-neighbour is its parent on that word.  Heads of one
 length into different states, or on different digits, are different
 words, so among the heads of one length that some tied state completes
-with a tail, only the smallest can start the witness: the words are
-rebuilt with one tail search per head length, from the state that
-smallest head enters.
+with a tail, only the smallest can start the witness.  So a tie
+completes a head only when it is the smallest of its length so far, with
+a tail read off the tie's own loop search: that search reached the
+tail's depth, and breadth-first ranks up to a depth do not depend on
+where the search stops.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 from .automaton import Automaton, Dfao, Word, _bfs, _preimages
@@ -229,40 +233,42 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     Among all shortest clashing words the lexicographically smallest is
     returned.  By the module docstring it is a shortest entry into some
     tied state s followed by a shortest loop at s.  One breadth-first
-    search from the initial state ranks every head.  Each tie keeps its
-    per-digit entries and loop lengths, O(k), which give the head lengths
-    it completes; the smallest head of each length gets one tail search
-    from the state it enters, bounded by its tail's length, and one word.
-    A tie's loop search is not kept, so memory stays O(n), not O(n) per
-    tie; ties are few (about 1.7 per random machine of the analyze-random
-    benchmark, 1 per cycle chain).
+    search from the initial state ranks every head.  When a searched state
+    ties or beats the running best, each of its heads that reaches the
+    total and is the smallest of its length so far is completed at once,
+    with a tail read off the loop search just run; no search runs after
+    the candidate loop.  Memory stays O(n): the best word, one rank dict
+    at a time, and one head per head length; no tie's search is kept.
 
     Cost: O(nk) for the search from the initial state and its lists of
     reached in-neighbours, whose first entries give a visited state's
     shortest entries; one depth-bounded search, O(nk), per candidate state
-    that its in-neighbours' cycle bounds do not rule out; and per head
-    length one tail search and one word, O(nk) each.  That is O(nk) on
-    cycle chains: every state there is a candidate, but after the first
-    full loop search each next state's in-neighbour carries a bound longer
-    than any loop that could still tie.  It is O(nk) on the alternating
-    cycle too, where every other state is entered on one digit only: such
-    a state is never searched, but it inherits its in-neighbour's bound,
-    which then rules out the next candidate.  The worst case stays
-    O(n^2 k), in the candidate loop.  On the tree-cycle, a complete binary
-    tree whose leaves form one cycle run against breadth-first order,
-    every leaf is a candidate whose cycle in-neighbour is visited after
-    it, so no bound applies and every leaf is searched; all of them tie
-    with heads of one length, and one tail search rebuilds the witness.
+    that its in-neighbours' cycle bounds do not rule out; and per completed
+    head one word, O(nk), no more than the loop search that found it.
+    That is O(nk) on cycle chains: every state there is a candidate, but
+    after the first full loop search each next state's in-neighbour
+    carries a bound longer than any loop that could still tie.  It is
+    O(nk) on the alternating cycle too, where every other state is entered
+    on one digit only: such a state is never searched, but it inherits its
+    in-neighbour's bound, which then rules out the next candidate.  The
+    worst case stays O(n^2 k), in the candidate loop.  On the tree-cycle,
+    a complete binary tree whose leaves form one cycle run against
+    breadth-first order, every leaf is a candidate whose cycle
+    in-neighbour is visited after it, so no bound applies and every leaf
+    is searched; all of them tie with heads of one length, and only the
+    first leaf's head is completed.
     """
     order0, dist0 = _bfs(a.transition, a.initial)
     # Reached feeders in breadth-first order, so the first one is the shallowest.
     preimages = _preimages(a.transition, a.k, order0)
+    rank0 = {t: i for i, t in enumerate(order0)}
 
     # Only states entered on two distinct digits can host a clash; the
     # visiting order, both bounds and the skip on the in-neighbours' cycle
     # bounds are justified in the module docstring.
     best_total = 2 * len(a.states) + 1  # exceeds every total (module docstring)
-    tied: list[tuple[int, list[int | None], list[int | None]]] = []  # (state, entries, loops)
+    best: PathWitness | None = None
+    heads: dict[int, tuple[int, int]] = {}  # head length -> smallest head recorded
     cycle = [1] * len(a.states)  # lower bound on the shortest cycle through each state
     for s in order0:
         # One pass over s's in-neighbour lists: the digits entering s, the
@@ -294,7 +300,7 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         else:
             cycle[s] = limit + 2
             continue
-        _, dist_s = _bfs(a.transition, s, limit)
+        order_s, dist_s = _bfs(a.transition, s, limit)
         entry = [dist0[p[s][0]] + 1 if p[s] else None for p in preimages]
         loop = [_arrival(dist_s, p[s]) for p in preimages]
         loops = [lp for lp in loop if lp is not None]
@@ -312,42 +318,33 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         if total > best_total:
             continue
         if total < best_total:
-            best_total, tied = total, []
-        tied.append((s, entry, loop))
-
-    # The smallest head of each length that some tie completes, ranked by
-    # (rank of the state its last edge leaves, digit): only it can start
-    # the witness (module docstring).  A tie's loops are exact up to the
-    # length a tail needs.
-    rank0 = {t: i for i, t in enumerate(order0)}
-    heads: dict[int, tuple[int, int, int, int]] = {}
-    for s, entry, loop in tied:
+            best_total, best, heads = total, None, {}
+        # Complete each head of s that reaches the total, unless a smaller
+        # head of its length is recorded (module docstring).  This search
+        # reached every state within the tail's depth, total - e - 1, and
+        # there each feeder of s on a digit other than x ends a shortest
+        # tail, as no total at s is below `total`.
         for x, e in enumerate(entry):
-            if e is not None and any(
-                y != x and e + lp == best_total for y, lp in enumerate(loop) if lp is not None
-            ):
-                p = preimages[x][s][0]
-                head = (rank0[p], x, p, s)
-                heads[e] = min(heads.get(e, head), head)
-
-    # One tail search per head length, from the state that head enters.
-    # Every feeder of s on another digit that the search reaches ends a
-    # shortest tail, since no total is below best_total.  A word's head
-    # ends at its position_a.
-    best: PathWitness | None = None
-    for head_len, (_, x, p, s) in heads.items():
-        order_s, _ = _bfs(a.transition, s, best_total - head_len - 1)
-        rank_s = {t: i for i, t in enumerate(order_s)}
-        _, y, q = min(
-            (rank_s[q], y, q)
-            for y, preimage in enumerate(preimages)
-            if y != x
-            for q in preimage[s]
-            if q in rank_s
-        )
-        word = _word(rank0, preimages, p) + (x,) + _word(rank_s, preimages, q) + (y,)
-        if best is None or word < best.word:
-            best = PathWitness(word, s, head_len - 1)
+            if e is None or total - e not in loop[:x] + loop[x + 1 :]:
+                continue
+            p = preimages[x][s][0]
+            head = (rank0[p], x)
+            if heads.get(e, head) < head:
+                continue
+            heads[e] = head
+            tail = islice(order_s, bisect_right(order_s, total - e - 1, key=dist_s.__getitem__))
+            rank_s = {t: i for i, t in enumerate(tail)}
+            _, y, q = min(
+                (rank_s[q], y, q)
+                for y, preimage in enumerate(preimages)
+                if y != x
+                for q in preimage[s]
+                if q in rank_s
+            )
+            # A word's head ends at its position_a.
+            word = _word(rank0, preimages, p) + (x,) + _word(rank_s, preimages, q) + (y,)
+            if best is None or word < best.word:
+                best = PathWitness(word, s, e - 1)
     return best
 
 

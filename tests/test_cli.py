@@ -278,7 +278,8 @@ def test_oversized_file_is_refused_before_reading(tmp_path):
     """A sparse file one byte over the size limit is refused by every
     command that reads a machine file, in a child under a 600 MB
     address-space cap, before any of it is read: the message names the
-    size and the limit."""
+    size and the limit.  A device reports size 0, so `/dev/zero` is
+    refused after reading one byte over the limit."""
     resource = pytest.importorskip("resource")
     f = tmp_path / "huge.aut"
     with open(f, "wb") as handle:
@@ -288,19 +289,44 @@ def test_oversized_file_is_refused_before_reading(tmp_path):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
 
-    for argv in (["analyze", str(f)], ["minimize", str(f)], ["generate", str(f), "-n", "5"],
-                 ["dot", str(f)], ["equiv", small, str(f)]):
-        result = subprocess.run(
-            [sys.executable, "-m", "dfao.cli", *argv],
-            capture_output=True,
-            text=True,
-            preexec_fn=cap,
-        )
-        assert (result.returncode, result.stdout) == (1, ""), argv
-        assert result.stderr == (
-            f"error: {f}: {cli.AUT_SIZE_LIMIT + 1} bytes of machine description, "
-            f"over the limit of {cli.AUT_SIZE_LIMIT} bytes\n"
-        ), argv
+    messages = {
+        str(f): f"{cli.AUT_SIZE_LIMIT + 1} bytes of machine description, "
+        f"over the limit of {cli.AUT_SIZE_LIMIT} bytes",
+        "/dev/zero": f"machine description over the limit of {cli.AUT_SIZE_LIMIT} bytes",
+    }
+    for path, message in messages.items():
+        for argv in (["analyze", path], ["minimize", path], ["generate", path, "-n", "5"],
+                     ["dot", path], ["equiv", small, path]):
+            result = subprocess.run(
+                [sys.executable, "-m", "dfao.cli", *argv],
+                capture_output=True,
+                text=True,
+                preexec_fn=cap,
+            )
+            assert (result.returncode, result.stdout) == (1, ""), argv
+            assert result.stderr == f"error: {path}: {message}\n", argv
+
+
+def test_generate_refuses_a_count_over_the_limit():
+    """One term over the limit is refused before the file is read or any
+    term generated, in a child under a 600 MB address-space cap."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    count = cli.TERM_LIMIT + 1
+    result = subprocess.run(
+        [sys.executable, "-m", "dfao.cli", "generate", aut("thue_morse"), "-n", str(count)],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+        timeout=30,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"error: {count} terms requested, over the limit of {cli.TERM_LIMIT} terms\n"
+    )
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):

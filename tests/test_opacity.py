@@ -373,15 +373,17 @@ def _witness_and_searches(monkeypatch, a):
 
 def test_witness_search_is_linear_on_cycle_chains(monkeypatch):
     """After the first full loop search every later chain state is ruled
-    out by its in-neighbour's cycle bound, so the breadth-first searches
-    visit at most 3(n + 1) states in all: the search from the initial
-    state, one full loop search and one tail search from the tied state."""
+    out by its in-neighbour's cycle bound, so there are exactly two
+    breadth-first searches, visiting at most 2(n + 1) states in all: the
+    search from the initial state and one full loop search from the tied
+    state, whose order also gives the tail."""
     for n in (64, 128, 255):
         for k in (2, 3):
             a = intrinsic_automaton(cycle_chain(n, k)).target.automaton
             got, reached = _witness_and_searches(monkeypatch, a)
             assert got.word == (1,) + (0,) * n
-            assert sum(reached) <= 3 * (n + 1), (n, k, sum(reached))
+            assert len(reached) == 2, (n, k, reached)
+            assert sum(reached) <= 2 * (n + 1), (n, k, sum(reached))
 
 
 def test_witness_search_is_linear_on_alternating_cycles(monkeypatch):
@@ -396,16 +398,17 @@ def test_witness_search_is_linear_on_alternating_cycles(monkeypatch):
         assert sum(reached) <= 6 * n, (n, sum(reached))
 
 
-def test_witness_search_on_tree_cycles_runs_one_tail_search(monkeypatch):
+def test_witness_search_on_tree_cycles_runs_no_tail_search(monkeypatch):
     """Every leaf is a candidate whose cycle in-neighbour is visited after
     it, so each leaf gets a loop search (the quadratic case that remains),
     and all 2^h leaves tie.  Their heads all have length h, so only the
-    smallest is completed: one tail search, 2^h + 2 searches in all."""
+    smallest is completed, with a tail read off its leaf's loop search:
+    2^h + 1 searches in all, none after the loop."""
     for h in (4, 6, 8):
         got, reached = _witness_and_searches(monkeypatch, tree_cycle(h))
         assert got.word == (0,) * (h + 2**h - 1) + (1,)
         assert (got.collide_state, got.position_a) == (2**h - 1, h - 1)
-        assert len(reached) <= 2**h + 2, (h, len(reached))
+        assert len(reached) == 2**h + 1, (h, len(reached))
 
 
 def _visited_candidates(a):
@@ -505,17 +508,7 @@ def test_witness_where_the_cycle_bound_skips_loop_searches(monkeypatch):
             reached += 1
             if total is not None and (running is None or total < running):
                 running = total
-        # the rebuild runs one tail search per head length that completes a tie
-        head_lengths = set()
-        for s, _, total in visited:
-            if total == best:
-                entries = [entry_distance(a, s, x) for x in range(a.k)]
-                loops = [return_distance(a, s, y) for y in range(a.k)]
-                head_lengths.update(
-                    e for x, e in enumerate(entries) for y, lp in enumerate(loops)
-                    if y != x and e is not None and lp == best - e
-                )
-        skipped += reached - (len(searches) - 1 - len(head_lengths))
+        skipped += reached - (len(searches) - 1)
     assert exhaustive >= 150 and skipped >= 4000, (exhaustive, skipped)
 
 
