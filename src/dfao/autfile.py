@@ -12,9 +12,10 @@
     edge B 1 A
 
 Tokens are whitespace-separated and `#` starts a comment anywhere on a
-line.  Directives may appear in any order.  `output` lines either cover
-every state or are omitted entirely, in which case each state outputs
-its own name.  Serialization is canonical: parse(serialize(d)) == d, and
+line.  A line ends at LF, at CRLF or at a lone CR (`str.splitlines`).
+Directives may appear in any order.  `output` lines either cover every
+state or are omitted entirely, in which case each state outputs its own
+name.  Serialization is canonical: parse(serialize(d)) == d, and
 serializing the same machine twice gives identical bytes.
 """
 
@@ -52,9 +53,10 @@ def parse_raw(text: str) -> RawDfao:
     digits: dict[str, int] = {}
     lineno = 0
 
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if "#" in line:
-            line = line[: line.index("#")]
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    for lineno, line in enumerate(lines, 1):
         tokens = line.split()
         if not tokens:
             continue

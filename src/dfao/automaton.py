@@ -36,6 +36,7 @@ Rows = tuple[tuple[int, ...], ...]
 
 # Tokens must survive the whitespace-delimited text format round trip.
 _TOKEN = re.compile(r"[^\s#]+").fullmatch
+_SPACELESS = re.compile(r"\S*").fullmatch
 
 
 def _check_token(kind: str, token: str) -> None:
@@ -221,7 +222,8 @@ class Dfao:
             fresh += "'"
         # The fresh state is declared first, so every old index moves up one.
         n = len(rows)
-        _, shifted = _relabel_rows(rows, range(n), a.k, range(1, n + 1))
+        # A list: reading a range allocates a fresh int on every read.
+        _, shifted = _relabel_rows(rows, range(n), a.k, list(range(1, n + 1)))
         rows = ((0, *shifted[initial][1:]), *shifted)
         outputs = (self.output[initial], *self.output)
         return _prune(a.k, (fresh, *a.states), 0, rows, outputs)[0]
@@ -347,8 +349,16 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
         outputs = tuple(map(by_state.__getitem__, raw.states))
 
     dfao, pruned = _prune(k, states, index[raw.initial], rows, outputs)
-    # Only tokens that survive pruning must fit the text format.
+    # Only tokens that survive pruning must fit the text format.  They all
+    # fit when their '#'-joined string has no whitespace, its only '#' are
+    # the joiners and no token is empty; then no token is looked at alone.
     for kind, tokens in (("state name", dfao.states), ("output token", dfao.output)):
+        try:
+            joined = "#".join(tokens)
+        except TypeError:  # some token is no string; the loop below meets it
+            joined = " "
+        if _SPACELESS(joined) and joined.count("#") == len(tokens) - 1 and "" not in tokens:
+            continue
         for token in filterfalse(_TOKEN, tokens):
             _check_token(kind, token)
     return dfao, pruned

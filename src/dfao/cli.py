@@ -30,6 +30,10 @@ AUT_SIZE_LIMIT = 16 * 2**20
 # Most terms `generate` prints.  At this count it peaks at about 245 MB
 # resident on one-character outputs, under a 600 MB address-space cap.
 TERM_LIMIT = 10**7
+# Most characters of terms and separators `generate` prints, counted as
+# the count times the longest output token plus the separator: all that
+# TERM_LIMIT admits on one-character outputs with the default separator.
+OUTPUT_LIMIT = 2 * TERM_LIMIT
 
 
 def _load(path: str) -> Dfao:
@@ -57,8 +61,6 @@ def _load(path: str) -> Dfao:
         raise AutSyntaxError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    # Line ends as text mode reads them: \r\n and a lone \r are each one \n.
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
     dfao, pruned = validate(parse_raw(text))
     if pruned:
         print(
@@ -207,6 +209,12 @@ def _cmd_generate(args) -> int:
     if args.count > TERM_LIMIT:
         raise InstanceTooLarge(f"{args.count} terms requested, over the limit of {TERM_LIMIT} terms")
     dfao = _load(args.file)
+    width = max(map(len, dfao.output)) + len(args.sep)
+    if args.count * width > OUTPUT_LIMIT:
+        raise InstanceTooLarge(
+            f"{args.count} terms of up to {width} characters with the separator, "
+            f"over the limit of {OUTPUT_LIMIT} characters"
+        )
     print(args.sep.join(dfao.generate(args.count)))
     return 0
 

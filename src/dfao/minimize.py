@@ -61,12 +61,7 @@ class FactorMap:
 def _renumber(keys: Sequence[Hashable]) -> list[int]:
     # ids by first appearance, so block b's smallest member appears first
     ids: dict[Hashable, int] = {}
-    out = []
-    for key in keys:
-        if key not in ids:
-            ids[key] = len(ids)
-        out.append(ids[key])
-    return out
+    return [ids.setdefault(key, len(ids)) for key in keys]
 
 
 def moore_partition(d: Dfao) -> Partition:
@@ -91,7 +86,9 @@ def moore_partition(d: Dfao) -> Partition:
     and its marked members sit at the front, up to mid[b].  Marking a
     state is one swap, and a split turns the smaller of the marked and
     unmarked parts into a new block, so it costs no more than the marking
-    did.  A splitter is read from a snapshot of its members, since it may
+    did.  A block of one state never splits, so its state is never marked:
+    its mid sits past it from the start, or from the split that left it
+    alone.  A splitter is read from a snapshot of its members, since it may
     itself split while it is being used.
 
     The queue starts with every block but the largest; the digit
@@ -135,7 +132,8 @@ def moore_partition(d: Dfao) -> Partition:
         sizes[b] += 1
     end = list(accumulate(sizes))
     first = [e - size for e, size in zip(end, sizes)]
-    mid = first[:]
+    # A one-state block's mid sits past its member, so it is never marked.
+    mid = [e if size == 1 else f for f, e, size in zip(first, end, sizes)]
     largest = sizes.index(max(sizes))
     queue = [b for b in range(n_blocks) if b != largest]
 
@@ -166,10 +164,12 @@ def moore_partition(d: Dfao) -> Partition:
                 else:
                     lo, hi = m, e
                     end[b] = m
+                if end[b] - first[b] == 1:
+                    mid[b] = end[b]
                 c = n_blocks
                 n_blocks += 1
                 first.append(lo)
-                mid.append(lo)
+                mid.append(hi if hi - lo == 1 else lo)
                 end.append(hi)
                 for s in elems[lo:hi]:
                     block_of[s] = c

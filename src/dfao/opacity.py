@@ -243,8 +243,10 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     Cost: O(nk) for the search from the initial state and its lists of
     reached in-neighbours, whose first entries give a visited state's
     shortest entries; one depth-bounded search, O(nk), per candidate state
-    that its in-neighbours' cycle bounds do not rule out; and per completed
-    head one word, O(nk), no more than the loop search that found it.
+    that its in-neighbours' cycle bounds do not rule out, which costs its
+    reach and nothing more when it reaches none of the state's
+    in-neighbours; and per completed head one word, O(nk), no more than
+    the loop search that found it.
     That is O(nk) on cycle chains: every state there is a candidate, but
     after the first full loop search each next state's in-neighbour
     carries a bound longer than any loop that could still tie.  It is
@@ -301,10 +303,12 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
             cycle[s] = limit + 2
             continue
         order_s, dist_s = _bfs(a.transition, s, limit)
+        if all(dist_s[r] is None for p in preimages for r in p[s]):
+            cycle[s] = limit + 2  # no loop within the limit
+            continue
         entry = [dist0[p[s][0]] + 1 if p[s] else None for p in preimages]
         loop = [_arrival(dist_s, p[s]) for p in preimages]
-        loops = [lp for lp in loop if lp is not None]
-        cycle[s] = min(loops) if loops else limit + 2
+        cycle[s] = min(lp for lp in loop if lp is not None)
         total = min(
             (
                 e + lp

@@ -1,6 +1,7 @@
 """Core machine type: construction, validation, runs, equivalence."""
 
 import random
+import re
 from collections import deque
 
 import pytest
@@ -190,6 +191,10 @@ def test_validate_rejects(raw, error):
 _UNFIT = "must be non-empty and free of whitespace and '#'"
 
 
+def _three(tokens, names=("A", "B", "C")):
+    return tuple(zip(names, tokens))
+
+
 @pytest.mark.parametrize(
     "name, initial, message",
     [
@@ -197,11 +202,29 @@ _UNFIT = "must be non-empty and free of whitespace and '#'"
         ("Z", "Z", f"output token 'x#' {_UNFIT}"),
         ("Z Z", "A", None),  # Z Z is unreachable from A, so it is pruned
         ("Z", "A", None),
+        # Faults that a '#' join of the tokens could hide, among fit tokens;
+        # `name` lists every (state, output) pair here.
+        (_three("012", ("A", "a#b", "C")), "C", f"state name 'a#b' {_UNFIT}"),
+        (_three(("0", "a#b", "2")), "C", f"output token 'a#b' {_UNFIT}"),
+        (_three(("0", "#", "2")), "C", f"output token '#' {_UNFIT}"),
+        (_three(("#", "##", "2")), "C", f"output token '#' {_UNFIT}"),
+        (_three("012", ("", "B", "C")), "C", f"state name '' {_UNFIT}"),
+        (_three(("", "1", "2")), "C", f"output token '' {_UNFIT}"),
+        (_three(("0", "", "2")), "C", f"output token '' {_UNFIT}"),
+        (_three(("0", "1", "")), "C", f"output token '' {_UNFIT}"),
+        (_three(("0", "a b", "2")), "C", f"output token 'a b' {_UNFIT}"),
+        (_three(("0", " ", "2")), "C", f"output token ' ' {_UNFIT}"),
+        (_three(("0", "\xa0", "2")), "C", f"output token '\\xa0' {_UNFIT}"),
+        (_three(("0", "a b", "#")), "C", f"output token 'a b' {_UNFIT}"),  # first in state order
     ],
 )
 def test_validate_checks_tokens_of_surviving_states_only(name, initial, message):
-    edges = (("A", 0, "A"), ("A", 1, "A"), (name, 0, "A"), (name, 1, "A"))
-    raw = RawDfao(2, ("A", name), initial, edges, (("A", "0"), (name, "x#")))
+    """Each state steps to the state declared before it, the first to
+    itself.  A str `name` is a second state after A, with output x#."""
+    pairs = (("A", "0"), (name, "x#")) if isinstance(name, str) else name
+    names = tuple(state for state, _ in pairs)
+    edges = tuple((state, d, names[max(i - 1, 0)]) for i, state in enumerate(names) for d in (0, 1))
+    raw = RawDfao(2, names, initial, edges, pairs)
     if message is None:
         dfao, pruned = validate(raw)
         assert pruned == (name,)
@@ -217,6 +240,15 @@ def test_validate_checks_default_outputs_as_names():
     with pytest.raises(ValueError) as info:
         validate(raw)
     assert str(info.value) == f"state name '' {_UNFIT}"
+
+
+def test_validate_meets_a_token_that_is_no_string_as_the_pattern_does():
+    raw = RawDfao(2, ("A",), "A", (("A", 0, "A"), ("A", 1, "A")), (("A", 1),))
+    with pytest.raises(TypeError) as pattern:
+        re.fullmatch("x", 1)
+    with pytest.raises(TypeError) as info:
+        validate(raw)
+    assert str(info.value) == str(pattern.value)
 
 
 def _rebuilt(d):

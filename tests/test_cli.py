@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, output shapes."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -327,6 +329,78 @@ def test_generate_refuses_a_count_over_the_limit():
     assert result.stderr == (
         f"error: {count} terms requested, over the limit of {cli.TERM_LIMIT} terms\n"
     )
+
+
+def test_generate_refuses_long_output_before_generating(tmp_path):
+    """A count within TERM_LIMIT whose output would pass OUTPUT_LIMIT, by
+    a long output token or a long separator, is refused after the file is
+    read, in a child under a 600 MB address-space cap."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    long_token = tmp_path / "long_token.aut"
+    long_token.write_text(
+        Path(aut("thue_morse")).read_text().replace("output A 0", "output A " + "x" * 1000)
+    )
+    for argv in (
+        [str(long_token), "-n", "1000000"],
+        [aut("thue_morse"), "-n", "1000000", "--sep", "y" * 1000],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "dfao.cli", "generate", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+            timeout=30,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "error: 1000000 terms of up to 1001 characters with the separator, "
+            f"over the limit of {cli.OUTPUT_LIMIT} characters\n"
+        )
+    assert cli.OUTPUT_LIMIT == cli.TERM_LIMIT * (1 + len(" "))
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_line_ends_and_byte_order_mark_read_as_lf(tmp_path):
+    """CRLF, lone-CR and byte-order-mark copies of every corpus file and of
+    a malformed file give the LF file's exit code, stdout (its own name
+    aside) and stderr, on every command that reads a file."""
+    bad = tmp_path / "bad.aut"
+    bad.write_text("# comment\nk 2\nstates A B\ninitial A\nedge A 0 A # ok\nedge A 2 B\n")
+    sources = sorted(CORPUS_DIR.glob("*.aut")) + [bad]
+    assert len(sources) == 10
+    for source in sources:
+        text = source.read_bytes()
+        copies = {
+            "crlf": text.replace(b"\n", b"\r\n"),
+            "cr": text.replace(b"\n", b"\r"),
+            "bom": b"\xef\xbb\xbf" + text,
+        }
+        lf = str(source)
+        for kind, data in copies.items():
+            copy = tmp_path / f"{kind}_{source.name}"
+            copy.write_bytes(data)
+            for command in (
+                ["analyze"],
+                ["analyze", "--json"],
+                ["minimize"],
+                ["dot", "--witness"],
+                ["generate", "-n", "40"],
+            ):
+                code, out, err = _run(command + [lf])
+                want = (code, out.replace(lf, str(copy)), err.replace(lf, str(copy)))
+                assert _run(command + [str(copy)]) == want, (kind, source.name, command)
+            assert _run(["equiv", str(copy), lf]) == _run(["equiv", lf, lf])
 
 
 def test_byte_order_mark_is_ignored(tmp_path, capsys):

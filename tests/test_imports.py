@@ -1,7 +1,8 @@
 """Static checks on the package and test source, with the standard library
 only: no module imports a name it never uses, every private module-level
-name of the package is read by the package itself, and `dfao.__all__`
-lists exactly the names the package imports."""
+name of the package is read by the package itself, `dfao.__all__` lists
+exactly the names the package imports, and none of them but `minimize`
+is also a submodule's name."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,11 @@ def test_all_lists_exactly_the_imported_names():
     assert len(set(dfao.__all__)) == len(dfao.__all__)
     for name in dfao.__all__:
         assert hasattr(dfao, name), name
+
+
+def test_no_public_name_shadows_a_submodule():
+    # `minimize` is the one known case, documented in the README: the
+    # package attribute is the function, so `import dfao.minimize as m`
+    # binds the function, not the module
+    submodules = {p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    assert submodules & set(dfao.__all__) == {"minimize"}

@@ -411,6 +411,47 @@ def test_witness_search_on_tree_cycles_runs_no_tail_search(monkeypatch):
         assert len(reached) == 2**h + 1, (h, len(reached))
 
 
+def test_loop_searches_that_find_no_loop_stop_at_once(monkeypatch):
+    """Random machines of the benchmark's shape, k 2 and 4 and 64 to 1024
+    states: most loop searches reach none of their state's in-neighbours
+    within their limit, and those end as soon as the search returns, with
+    no arrival computed.  So the arrivals are at most k per loop search
+    that found a loop.  Where the exhaustive sweep is small the witness is
+    its lexmin."""
+    rng = random.Random(61)
+    searches = found = arrivals = 0
+
+    def searched(rows, start, limit=None):
+        nonlocal searches, found
+        order, dist = _bfs(rows, start, limit)
+        if limit is not None:  # a loop search, not the one from the initial state
+            searches += 1
+            found += any(start in rows[r] for r in order)
+        return order, dist
+
+    def arrival(dist, feeders, original=opacity._arrival):
+        nonlocal arrivals
+        arrivals += 1
+        return original(dist, feeders)
+
+    exhaustive = 0
+    for i in range(24):
+        k, n = (2, 4)[i % 2], int(2 ** rng.uniform(6, 10))
+        names = tuple(f"q{s}" for s in range(n))
+        rows = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
+        a = Automaton(k, names, 0, rows)
+        before = (found, arrivals)
+        with monkeypatch.context() as patch:
+            patch.setattr(opacity, "_bfs", searched)
+            patch.setattr(opacity, "_arrival", arrival)
+            got = shortest_inhomogeneous_path(a)
+        assert arrivals - before[1] <= k * (found - before[0]), (i, k, n)
+        if got is not None and k ** len(got.word) <= 3 * 10**4:
+            _assert_witness_is_exhaustive_lexmin(a, got, len(got.word))
+            exhaustive += 1
+    assert searches >= 5 * found and exhaustive >= 20, (searches, found, exhaustive)
+
+
 def _visited_candidates(a):
     """(state, shortest entry, shortest clash through it) for each state
     entered on two digits, in the search's breadth-first visiting order."""
