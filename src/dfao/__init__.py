@@ -22,6 +22,7 @@ from .dyadic import ZERO, DyadicDistance, pow2inv
 from .errors import (
     AutSyntaxError,
     BadRadix,
+    BadToken,
     DfaoError,
     DigitOutOfRange,
     DuplicateState,
@@ -71,6 +72,7 @@ __all__ = [
     "pow2inv",
     "AutSyntaxError",
     "BadRadix",
+    "BadToken",
     "DfaoError",
     "DigitOutOfRange",
     "DuplicateState",

@@ -76,8 +76,8 @@ def parse_raw(text: str) -> RawDfao:
             _, name, token = tokens
             if name in output_lines:
                 raise DuplicateState(
-                    f"line {lineno}: output for state {name!r} already given "
-                    f"on line {output_lines[name]}"
+                    f"output for state {name!r} already given on line {output_lines[name]}",
+                    lineno,
                 )
             output_lines[name] = lineno
             outputs.append((name, token))
@@ -95,7 +95,7 @@ def parse_raw(text: str) -> RawDfao:
             if not states:
                 raise AutSyntaxError("states needs at least one name", lineno)
             if len(set(states)) != len(states):
-                raise DuplicateState(f"line {lineno}: repeated state name")
+                raise DuplicateState("repeated state name", lineno)
         elif directive == "initial":
             if initial is not None:
                 raise AutSyntaxError("duplicate initial directive", lineno)

@@ -15,11 +15,12 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BadRadix,
+    BadToken,
     DigitOutOfRange,
     DuplicateState,
     DuplicateTransition,
@@ -39,11 +40,22 @@ _TOKEN = re.compile(r"[^\s#]+").fullmatch
 _SPACELESS = re.compile(r"\S*").fullmatch
 
 
-def _check_token(kind: str, token: str) -> None:
-    if not _TOKEN(token):
-        raise ValueError(
-            f"{kind} {token!r} must be non-empty and free of whitespace and '#'"
-        )
+def _check_tokens(kind: str, tokens: Sequence[str]) -> None:
+    """Raise BadToken for the first of `tokens` that is no string or does
+    not fit the text format.  They all fit when their '#'-joined string has
+    no whitespace, its only '#' are the joiners and no token is empty; only
+    when that check fails is any token looked at alone.  O(total length)."""
+    try:
+        joined = "#".join(tokens)
+    except TypeError:  # some token is no string; the loop below names it
+        joined = " "
+    if _SPACELESS(joined) and joined.count("#") == len(tokens) - 1 and "" not in tokens:
+        return
+    for token in tokens:
+        if not isinstance(token, str):
+            raise BadToken(f"{kind} {token!r} must be a string")
+        if not _TOKEN(token):
+            raise BadToken(f"{kind} {token!r} must be non-empty and free of whitespace and '#'")
 
 
 @dataclass(frozen=True)
@@ -70,8 +82,7 @@ class Automaton:
             raise NoStates("a machine needs at least one state")
         if len(set(self.states)) != n:
             raise DuplicateState("state names must be distinct")
-        for name in self.states:
-            _check_token("state name", name)
+        _check_tokens("state name", self.states)
         if not 0 <= self.initial < n:
             raise UnknownState(f"initial state index {self.initial} out of range")
         if len(self.transition) != n:
@@ -168,8 +179,7 @@ class Dfao:
             raise MissingOutput(
                 f"{len(self.output)} outputs for {len(self.automaton.states)} states"
             )
-        for token in self.output:
-            _check_token("output token", token)
+        _check_tokens("output token", self.output)
 
     @property
     def k(self) -> int:
@@ -200,7 +210,8 @@ class Dfao:
         while len(states) < n_terms:
             states += rows[states[q]]
             q += 1
-        return tuple(map(self.output.__getitem__, states[:n_terms]))
+        del states[n_terms:]  # in place: a slice would copy the whole list
+        return tuple(map(self.output.__getitem__, states))
 
     def normalize_zero(self) -> Dfao:
         """Make digit 0 loop on the initial state, preserving the sequence.
@@ -257,11 +268,6 @@ class RawDfao:
     lines: LineMap | None = field(default=None, compare=False, repr=False)
 
 
-def _at(lines: Sequence[int] | None, i: int) -> str:
-    """'line N: ' for the i-th directive when its source line is known."""
-    return "" if lines is None else f"line {lines[i]}: "
-
-
 def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
     """Check a raw description, prune unreachable states, build the machine.
 
@@ -269,16 +275,14 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
     declaration order) so callers can surface a warning.  State order of
     the result is the declaration order restricted to survivors.  When
     the description carries a line map, errors about the radix, outputs
-    and edges start with the offending line.  Untrusted input is checked
-    here, once, in O(nk); machines built from it are not checked again.
+    and edges start with the offending line and store it as `.line`.
+    Untrusted input is checked here, once, in O(nk); machines built from
+    it are not checked again.
     """
+    # A LineMap is never false, so `lines and lines.k` is None without one.
     lines = raw.lines
-    output_lines = edge_lines = None
-    if lines is not None:
-        output_lines, edge_lines = lines.outputs, lines.edges
     if raw.k < 2:
-        where = "" if lines is None else f"line {lines.k}: "
-        raise BadRadix(f"{where}radix must be >= 2, got {raw.k}")
+        raise BadRadix(f"radix must be >= 2, got {raw.k}", lines and lines.k)
     if not raw.states:
         raise NoStates("a machine needs at least one state")
     index: dict[str, int] = {}
@@ -290,9 +294,7 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
         raise UnknownState(f"initial state {raw.initial!r} is not declared")
     for i, (name, _token) in enumerate(raw.outputs or ()):
         if name not in index:
-            raise UnknownState(
-                f"{_at(output_lines, i)}output for undeclared state {name!r}"
-            )
+            raise UnknownState(f"output for undeclared state {name!r}", lines and lines.outputs[i])
 
     # The radix comes from outside, so nothing is sized by it until the
     # edges, keyed state * k + digit, are known to cover every pair.
@@ -305,20 +307,19 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
         except KeyError:
             end, name = ("source", src) if src not in index else ("target", dst)
             raise UnknownState(
-                f"{_at(edge_lines, i)}edge {end} {name!r} is not declared"
+                f"edge {end} {name!r} is not declared", lines and lines.edges[i]
             ) from None
         if not 0 <= digit < k:
             raise DigitOutOfRange(
-                f"{_at(edge_lines, i)}digit {digit} out of range for k={k}"
+                f"digit {digit} out of range for k={k}", lines and lines.edges[i]
             )
         key = s * k + digit
         if key in table:
-            if edge_lines is None:
+            if lines is None:
                 raise DuplicateTransition(f"edge {src} {digit} ... defined twice")
             j = next(j for j, e in enumerate(raw.edges) if e[:2] == (src, digit))
             raise DuplicateTransition(
-                f"line {edge_lines[i]}: edge {src} {digit} ... already defined "
-                f"on line {edge_lines[j]}"
+                f"edge {src} {digit} ... already defined on line {lines.edges[j]}", lines.edges[i]
             )
         table[key] = t
     n = len(raw.states)
@@ -344,23 +345,14 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
             missing = [name for name in raw.states if name not in by_state]
             raise MissingOutput(
                 "outputs must cover every state or be omitted entirely; "
-                f"missing: {', '.join(missing)}"
+                f"missing: {', '.join(map(str, missing))}"
             )
         outputs = tuple(map(by_state.__getitem__, raw.states))
 
     dfao, pruned = _prune(k, states, index[raw.initial], rows, outputs)
-    # Only tokens that survive pruning must fit the text format.  They all
-    # fit when their '#'-joined string has no whitespace, its only '#' are
-    # the joiners and no token is empty; then no token is looked at alone.
-    for kind, tokens in (("state name", dfao.states), ("output token", dfao.output)):
-        try:
-            joined = "#".join(tokens)
-        except TypeError:  # some token is no string; the loop below meets it
-            joined = " "
-        if _SPACELESS(joined) and joined.count("#") == len(tokens) - 1 and "" not in tokens:
-            continue
-        for token in filterfalse(_TOKEN, tokens):
-            _check_token(kind, token)
+    # Only tokens that survive pruning must fit the text format.
+    _check_tokens("state name", dfao.states)
+    _check_tokens("output token", dfao.output)
     return dfao, pruned
 
 

@@ -27,7 +27,7 @@ from .oracle import brute_force_opacity, oracle_bound
 # under it peaks at about 22 resident bytes per byte of text, so it still
 # answers under a 600 MB address-space cap.
 AUT_SIZE_LIMIT = 16 * 2**20
-# Most terms `generate` prints.  At this count it peaks at about 245 MB
+# Most terms `generate` prints.  At this count it peaks at about 169 MB
 # resident on one-character outputs, under a 600 MB address-space cap.
 TERM_LIMIT = 10**7
 # Most characters of terms and separators `generate` prints, counted as

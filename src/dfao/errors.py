@@ -2,7 +2,16 @@
 
 
 class DfaoError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose.
+
+    An error about one line of a machine description stores that line as
+    `.line` and starts its message with `line N: `; `.line` is None when
+    no line is known.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class BadRadix(DfaoError):
@@ -51,15 +60,15 @@ class NoRecurrence(DfaoError):
 
 class InstanceTooLarge(DfaoError):
     """An input or an exhaustive enumeration would exceed its budget: a
-    machine file over the CLI's size limit, or an oracle sweep over its
-    relabeling or table budget."""
+    machine file over the CLI's size limit, a `generate` count over its
+    term or output limit, or an oracle sweep over its relabeling or table
+    budget."""
 
 
 class AutSyntaxError(DfaoError):
-    """Malformed .aut text; carries the offending line number when known."""
+    """Malformed .aut text."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+
+class BadToken(DfaoError, ValueError):
+    """A state name or output token that the text format cannot carry: not
+    a string, empty, or holding whitespace or '#'.  Also a ValueError."""

@@ -450,6 +450,64 @@ def exhaustive_shortest_clash(a: Automaton, max_len: int):
     return None
 
 
+def word_search_shortest_clash(a: Automaton):
+    """`exhaustive_shortest_clash` without its length cap, in polynomial
+    time, following words rather than the entry+loop lemma.
+
+    For each state t entered on two digits, a breadth-first search in digit
+    order runs over pairs (state, digit of the first entry into t, or None
+    before it), from (initial, None), and stops at the first edge that
+    enters t on another digit.  Pairs are expanded in the order of their
+    smallest shortest words, so that edge ends the smallest shortest word
+    that clashes at t; a search goes no deeper than the best word so far.
+    The smallest (length, word) over all t is the witness, and a walk of it
+    gives the clash state and position_a.  O(n k^2) time per t.
+    """
+    k, rows = a.k, a.transition
+    entry_digits: list[set[int]] = [set() for _ in rows]
+    for row in rows:
+        for d, u in enumerate(row):
+            entry_digits[u].add(d)
+    best = None
+    for t in range(len(rows)):
+        if len(entry_digits[t]) < 2:
+            continue
+        start = (a.initial, None)
+        back = {start: None}  # pair -> (pair it was first reached from, digit)
+        level, depth, clash = [start], 0, None
+        while level and clash is None and (best is None or depth < len(best)):
+            below = []
+            for pair in level:
+                s, first = pair
+                for d, u in enumerate(rows[s]):
+                    if u == t and first is not None and d != first:
+                        clash = pair, d
+                        break
+                    nxt = (u, d if u == t and first is None else first)
+                    if nxt not in back:
+                        back[nxt] = pair, d
+                        below.append(nxt)
+                if clash is not None:
+                    break
+            level, depth = below, depth + 1
+        if clash is None:
+            continue
+        pair, d = clash
+        word = [d]
+        while back[pair] is not None:
+            pair, d = back[pair]
+            word.append(d)
+        word = tuple(reversed(word))
+        if best is None or (len(word), word) < (len(best), best):
+            best = word
+    if best is None:
+        return None
+    vertices = a.run_path(best)
+    b = len(best) - 1
+    a_pos = next(j for j in range(b) if vertices[j + 1] == vertices[-1] and best[j] != best[b])
+    return best, vertices[-1], a_pos, b
+
+
 def prefix_distance(w, v) -> DyadicDistance:
     """2**-(first index where the words differ); zero only for equality.
 

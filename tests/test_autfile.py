@@ -1,6 +1,7 @@
 """Text format: round trips, defaults, and positioned error reports."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -100,10 +101,20 @@ def test_parse_prunes_silently():
     assert d == build("thue_morse")
 
 
+def prefix_line(msg):
+    """N of a message that starts with `line N: `, else None."""
+    prefix = re.match(r"line (\d+): ", msg)
+    return prefix and int(prefix[1])
+
+
 def parse_error(text, error):
+    """The message of the `error` that `text` raises, whose `.line` must be
+    its prefix's number."""
     with pytest.raises(error) as info:
         validate(parse_raw(text))
-    return str(info.value)
+    msg = str(info.value)
+    assert info.value.line == prefix_line(msg), msg
+    return msg
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -199,6 +210,7 @@ def test_malformed_text_raises_only_dfao_errors():
         try:
             dfao, _pruned = validate(parse_raw(text))
         except DfaoError as exc:
+            assert exc.line == prefix_line(str(exc)), exc
             outcomes.add(type(exc))
         else:
             intrinsic_automaton(dfao)

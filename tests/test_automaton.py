@@ -1,7 +1,7 @@
 """Core machine type: construction, validation, runs, equivalence."""
 
 import random
-import re
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -21,6 +21,7 @@ from dfao.autfile import parse_raw
 from dfao.corpus import ENTRIES, build
 from dfao.errors import (
     BadRadix,
+    BadToken,
     DigitOutOfRange,
     DuplicateState,
     DuplicateTransition,
@@ -184,8 +185,9 @@ def test_validate_default_outputs_are_names():
     ],
 )
 def test_validate_rejects(raw, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         validate(raw)
+    assert info.value.line is None  # a RawDfao built here has no line map
 
 
 _UNFIT = "must be non-empty and free of whitespace and '#'"
@@ -230,7 +232,7 @@ def test_validate_checks_tokens_of_surviving_states_only(name, initial, message)
         assert pruned == (name,)
         assert dfao.states == ("A",) and dfao.output == ("0",)
     else:
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(BadToken) as info:
             validate(raw)
         assert str(info.value) == message
 
@@ -242,13 +244,22 @@ def test_validate_checks_default_outputs_as_names():
     assert str(info.value) == f"state name '' {_UNFIT}"
 
 
-def test_validate_meets_a_token_that_is_no_string_as_the_pattern_does():
-    raw = RawDfao(2, ("A",), "A", (("A", 0, "A"), ("A", 1, "A")), (("A", 1),))
-    with pytest.raises(TypeError) as pattern:
-        re.fullmatch("x", 1)
-    with pytest.raises(TypeError) as info:
-        validate(raw)
-    assert str(info.value) == str(pattern.value)
+@pytest.mark.parametrize("bad", [1, None])
+@pytest.mark.parametrize("kind", ["state name", "output token"])
+def test_a_token_that_is_no_string_is_a_bad_token(bad, kind):
+    """validate, make_dfao and both constructors raise BadToken, a DfaoError
+    and a ValueError, for a name or token that is no string."""
+    name, token = (bad, "0") if kind == "state name" else ("A", bad)
+    edges = ((name, 0, name), (name, 1, name))
+    for build_it in (
+        lambda: validate(RawDfao(2, (name,), name, edges, ((name, token),))),
+        lambda: make_dfao(2, {name: (name, name)}, name, {name: token}),
+        lambda: Dfao(Automaton(2, (name,), 0, ((0, 0),)), (token,)),
+    ):
+        with pytest.raises(BadToken) as info:
+            build_it()
+        assert str(info.value) == f"{kind} {bad!r} must be a string"
+        assert isinstance(info.value, ValueError) and info.value.line is None
 
 
 def _rebuilt(d):
@@ -305,6 +316,21 @@ def test_generate_known_sequences():
     assert "".join(ident.generate(8)) == "01010101"
     assert tm.generate(1) == (tm.output[tm.initial],)
     assert tm.generate(0) == ()
+
+
+def test_generate_holds_no_copy_of_its_states():
+    """generate's peak is its list of states and the tuple of terms, 8 bytes
+    a term each plus the list's slack: about 17 bytes a term.  A copy of
+    the list would add 8 more."""
+    n = 10**6
+    tracemalloc.start()
+    try:
+        terms = build("thue_morse").generate(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == n
+    assert peak < 20 * n, peak / n
 
 
 def test_generate_nonpositive_count_is_empty():

@@ -1,13 +1,14 @@
 """Static checks on the package and test source, with the standard library
 only: no module imports a name it never uses, every private module-level
 name of the package is read by the package itself, `dfao.__all__` lists
-exactly the names the package imports, and none of them but `minimize`
-is also a submodule's name."""
+exactly the names the package imports, none of them but `minimize` is
+also a submodule's name, and every deliberate raise is a DfaoError."""
 
 import ast
 from pathlib import Path
 
 import dfao
+from dfao import errors
 
 PACKAGE = Path(dfao.__file__).parent
 TESTS = Path(__file__).parent
@@ -104,3 +105,58 @@ def test_no_public_name_shadows_a_submodule():
     # binds the function, not the module
     submodules = {p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
     assert submodules & set(dfao.__all__) == {"minimize"}
+
+
+# The raises that are no DfaoError, as (module, enclosing def, class raised).
+NOT_DFAO_ERRORS = {
+    # argparse turns it into a usage error with exit 2, as for any bad option
+    ("cli.py", "_term_count", "ArgumentTypeError"),
+    # an invariant of a value type that no machine description reaches
+    ("dyadic.py", "DyadicDistance.__post_init__", "ValueError"),
+}
+
+
+def raised_classes(source: str) -> list[tuple[str, str]]:
+    """(enclosing def, class name) of every raise in `source` that names a
+    class, called or not; a bare re-raise names none."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                found.append((scope, exc.attr if isinstance(exc, ast.Attribute) else exc.id))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_raised_classes_are_found():
+    source = (
+        "class C:\n"
+        "    def f(self):\n"
+        "        try:\n"
+        "            raise KeyError\n"
+        "        except KeyError:\n"
+        "            raise\n"
+        "def g():\n"
+        "    raise argparse.ArgumentTypeError('x') from None\n"
+    )
+    assert raised_classes(source) == [("C.f", "KeyError"), ("g", "ArgumentTypeError")]
+
+
+def test_every_raise_names_a_dfao_error():
+    # `except DfaoError` around any entry point catches every refusal
+    allowed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, name in raised_classes(path.read_text(encoding="utf-8")):
+            if (path.name, scope, name) in NOT_DFAO_ERRORS:
+                allowed.add((path.name, scope, name))
+                continue
+            cls = getattr(errors, name, None)  # every DfaoError lives in dfao.errors
+            assert isinstance(cls, type) and issubclass(cls, errors.DfaoError), (path, scope, name)
+    assert allowed == NOT_DFAO_ERRORS  # an allowance no raise uses fails here

@@ -36,6 +36,7 @@ from helpers import (
     split_state,
     step,
     tree_cycle,
+    word_search_shortest_clash,
 )
 
 
@@ -287,6 +288,9 @@ def test_witness_matches_exhaustive_lexmin():
 
 def _assert_witness_is_exhaustive_lexmin(a, got, max_len):
     expected = exhaustive_shortest_clash(a, max_len)
+    # Callers pass 2n + 2, past every shortest clash, or the witness's own
+    # length, so the exhaustive search answers in full.
+    assert word_search_shortest_clash(a) == expected
     if expected is None:
         assert got is None
     else:
@@ -551,6 +555,38 @@ def test_witness_where_the_cycle_bound_skips_loop_searches(monkeypatch):
                 running = total
         skipped += reached - (len(searches) - 1)
     assert exhaustive >= 150 and skipped >= 4000, (exhaustive, skipped)
+
+
+def test_word_search_reference_meets_the_witness_at_bench_sizes():
+    """The lemma-free reference gives the witness search's answer on
+    machines far past the exhaustive search: intrinsic forms of uniform
+    random machines, cycles with random chords, whose witnesses run to
+    dozens of digits, and the adversarial families."""
+    rng = random.Random(83)
+    machines = [transparent_but_inhomogeneous().automaton]
+    for _ in range(150):
+        k, n = rng.choice((2, 3, 4)), rng.randint(20, 200)
+        d = random_dfao(rng, k=k, min_states=n, max_states=n)
+        machines.append(intrinsic_automaton(d).target.automaton)
+        chord = rng.choice((0.02, 0.05, 0.2))
+        rows = tuple(
+            tuple(rng.randrange(n) if rng.random() < chord else (s + 1) % n for _ in range(k))
+            for s in range(n)
+        )
+        machines.append(Automaton(k, tuple(f"q{s}" for s in range(n)), 0, rows))
+    machines += [alternating_cycle(n) for n in range(2, 201, 6)]
+    machines += [tree_cycle(h) for h in range(7)]
+    for n in (2, 17, 64, 150):
+        for k in (2, 3):
+            d = cycle_chain(n, k)
+            machines += [d.automaton, intrinsic_automaton(d).target.automaton]
+    lengths = set()
+    for a in machines:
+        w = shortest_inhomogeneous_path(a)
+        expected = w and (w.word, w.collide_state, w.position_a, w.position_b)
+        assert word_search_shortest_clash(a) == expected
+        lengths.add(expected and len(expected[0]))
+    assert None in lengths and max(lengths - {None}) > 40, lengths
 
 
 def test_intrinsic_breadth_first_order_is_index_order():
