@@ -16,6 +16,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -38,6 +39,13 @@ Rows = tuple[tuple[int, ...], ...]
 # Tokens must survive the whitespace-delimited text format round trip.
 _TOKEN = re.compile(r"[^\s#]+").fullmatch
 _SPACELESS = re.compile(r"\S*").fullmatch
+
+
+def _check_radix(k: int, line: int | None = None) -> None:
+    if not isinstance(k, Integral):
+        raise BadRadix(f"radix must be an integer, got {k!r}", line)
+    if k < 2:
+        raise BadRadix(f"radix must be >= 2, got {k}", line)
 
 
 def _check_tokens(kind: str, tokens: Sequence[str]) -> None:
@@ -75,16 +83,19 @@ class Automaton:
     transition: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise BadRadix(f"radix must be >= 2, got {self.k}")
+        _check_radix(self.k)
         n = len(self.states)
         if n == 0:
             raise NoStates("a machine needs at least one state")
-        if len(set(self.states)) != n:
+        try:
+            duplicate = len(set(self.states)) != n
+        except TypeError:  # an unhashable name is no string, as `_check_tokens` reports
+            duplicate = False
+        if duplicate:
             raise DuplicateState("state names must be distinct")
         _check_tokens("state name", self.states)
-        if not 0 <= self.initial < n:
-            raise UnknownState(f"initial state index {self.initial} out of range")
+        if not (isinstance(self.initial, Integral) and 0 <= self.initial < n):
+            raise UnknownState(f"initial state index {self.initial!r} out of range")
         if len(self.transition) != n:
             raise MissingTransition(
                 f"transition table has {len(self.transition)} rows for {n} states"
@@ -95,12 +106,12 @@ class Automaton:
                     f"state {self.states[s]!r} defines {len(row)} of {self.k} digits"
                 )
             for t in row:
-                if not 0 <= t < n:
-                    raise UnknownState(f"transition target index {t} out of range")
+                if not (isinstance(t, Integral) and 0 <= t < n):
+                    raise UnknownState(f"transition target index {t!r} out of range")
 
     def _check_digit(self, d: int) -> None:
-        if not 0 <= d < self.k:
-            raise DigitOutOfRange(f"digit {d} out of range for k={self.k}")
+        if not (isinstance(d, Integral) and 0 <= d < self.k):
+            raise DigitOutOfRange(f"digit {d!r} out of range for k={self.k}")
 
     def run_path(self, word: Iterable[int]) -> tuple[int, ...]:
         """The states `word` visits from the initial state, that one first,
@@ -281,54 +292,73 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
     """
     # A LineMap is never false, so `lines and lines.k` is None without one.
     lines = raw.lines
-    if raw.k < 2:
-        raise BadRadix(f"radix must be >= 2, got {raw.k}", lines and lines.k)
+    _check_radix(raw.k, lines and lines.k)
     if not raw.states:
         raise NoStates("a machine needs at least one state")
     index: dict[str, int] = {}
     for name in raw.states:
-        if name in index:
-            raise DuplicateState(f"state {name!r} declared twice")
+        try:
+            if name in index:
+                raise DuplicateState(f"state {name!r} declared twice")
+        except TypeError:  # unhashable
+            raise BadToken(f"state name {name!r} must be a string") from None
         index[name] = len(index)
-    if raw.initial not in index:
-        raise UnknownState(f"initial state {raw.initial!r} is not declared")
+    # Below, a lookup of an unhashable name raises TypeError: it is not
+    # declared either.
+    try:
+        initial = index[raw.initial]
+    except (KeyError, TypeError):
+        raise UnknownState(f"initial state {raw.initial!r} is not declared") from None
     for i, (name, _token) in enumerate(raw.outputs or ()):
-        if name not in index:
-            raise UnknownState(f"output for undeclared state {name!r}", lines and lines.outputs[i])
+        try:
+            index[name]
+        except (KeyError, TypeError):
+            raise UnknownState(
+                f"output for undeclared state {name!r}", lines and lines.outputs[i]
+            ) from None
 
     # The radix comes from outside, so nothing is sized by it until the
     # edges, keyed state * k + digit, are known to cover every pair.
     k = raw.k
     table: dict[int, int] = {}
-    for i, (src, digit, dst) in enumerate(raw.edges):
-        try:
-            s = index[src]
-            t = index[dst]
-        except KeyError:
-            end, name = ("source", src) if src not in index else ("target", dst)
-            raise UnknownState(
-                f"edge {end} {name!r} is not declared", lines and lines.edges[i]
-            ) from None
-        if not 0 <= digit < k:
-            raise DigitOutOfRange(
-                f"digit {digit} out of range for k={k}", lines and lines.edges[i]
-            )
-        key = s * k + digit
-        if key in table:
-            if lines is None:
-                raise DuplicateTransition(f"edge {src} {digit} ... defined twice")
-            j = next(j for j, e in enumerate(raw.edges) if e[:2] == (src, digit))
-            raise DuplicateTransition(
-                f"edge {src} {digit} ... already defined on line {lines.edges[j]}", lines.edges[i]
-            )
-        table[key] = t
     n = len(raw.states)
-    if len(table) < n * k:
-        gap = next(key for key in range(n * k) if key not in table)
-        s, d = divmod(gap, k)
-        raise MissingTransition(f"no edge for state {raw.states[s]!r} on digit {d}")
-    # The n * k keys are distinct and below n * k, so they are all of them.
-    rows = tuple(zip(*[map(table.__getitem__, range(n * k))] * k))
+    try:
+        for i, (src, digit, dst) in enumerate(raw.edges):
+            try:
+                s = index[src]
+                t = index[dst]
+            except (KeyError, TypeError):
+                end, name = ("source", src) if src not in raw.states else ("target", dst)
+                raise UnknownState(
+                    f"edge {end} {name!r} is not declared", lines and lines.edges[i]
+                ) from None
+            if not 0 <= digit < k:
+                raise DigitOutOfRange(
+                    f"digit {digit} out of range for k={k}", lines and lines.edges[i]
+                )
+            key = s * k + digit
+            if key in table:
+                if lines is None:
+                    raise DuplicateTransition(f"edge {src} {digit} ... defined twice")
+                j = next(j for j, e in enumerate(raw.edges) if e[:2] == (src, digit))
+                raise DuplicateTransition(
+                    f"edge {src} {digit} ... already defined on line {lines.edges[j]}",
+                    lines.edges[i],
+                )
+            table[key] = t
+        if len(table) < n * k:
+            gap = next(key for key in range(n * k) if key not in table)
+            s, d = divmod(gap, k)
+            raise MissingTransition(f"no edge for state {raw.states[s]!r} on digit {d}")
+        # The keys are distinct and below n * k, and there are at least n * k
+        # of them, so they are range(len(table)) unless some digit, such as
+        # 0.5, is no whole number.
+        rows = tuple(zip(*[map(table.__getitem__, range(len(table)))] * k))
+    except (TypeError, KeyError):  # a digit that is no integer: '0' fails `<=`, 0.5 the rows
+        i = next(i for i, e in enumerate(raw.edges) if not isinstance(e[1], Integral))
+        raise DigitOutOfRange(
+            f"digit {raw.edges[i][1]!r} out of range for k={k}", lines and lines.edges[i]
+        ) from None
 
     states = tuple(raw.states)
     if raw.outputs is None:
@@ -349,7 +379,7 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
             )
         outputs = tuple(map(by_state.__getitem__, raw.states))
 
-    dfao, pruned = _prune(k, states, index[raw.initial], rows, outputs)
+    dfao, pruned = _prune(k, states, initial, rows, outputs)
     # Only tokens that survive pruning must fit the text format.
     _check_tokens("state name", dfao.states)
     _check_tokens("output token", dfao.output)

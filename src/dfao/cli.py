@@ -17,10 +17,9 @@ from .autfile import parse_raw, serialize
 from .automaton import Dfao, _check_same_radix, validate
 from .corpus import evaluate_all
 from .dot import to_dot
-from .dyadic import DyadicDistance
 from .errors import AutSyntaxError, DfaoError, InstanceTooLarge
 from .minimize import intrinsic_automaton, minimize
-from .opacity import AnalysisReport, PathWitness, analyze_sequence, shortest_inhomogeneous_path
+from .opacity import analyze_sequence, shortest_inhomogeneous_path
 from .oracle import brute_force_opacity, oracle_bound
 
 # Largest .aut file read, in bytes.  `analyze` on a random binary file just
@@ -63,8 +62,11 @@ def _load(path: str) -> Dfao:
         ) from None
     dfao, pruned = validate(parse_raw(text))
     if pruned:
+        # The first ten names only: a large file can prune thousands.
+        more = f" and {len(pruned) - 10} more" if len(pruned) > 10 else ""
         print(
-            f"warning: pruned unreachable states: {', '.join(pruned)}",
+            f"warning: pruned {len(pruned)} unreachable "
+            f"{'state' if len(pruned) == 1 else 'states'}: {', '.join(pruned[:10])}{more}",
             file=sys.stderr,
         )
     return dfao
@@ -79,68 +81,48 @@ def _fraction_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _witness_json(witness: PathWitness, intrinsic: Dfao) -> dict:
-    return {
-        "word": _format_word(witness.word, intrinsic.k),
-        "state": intrinsic.states[witness.collide_state],
-        "pos_a": witness.position_a,
-        "pos_b": witness.position_b,
-    }
-
-
-def _inhomogeneous_names(report: AnalysisReport) -> list[str]:
-    return [
-        report.intrinsic.states[s]
-        for s, verdict in enumerate(report.state_homogeneity)
-        if not verdict.homogeneous
-    ]
-
-
-def _report_json(
-    report: AnalysisReport,
-    name: str,
-    input_states: int,
-    oracle_result: tuple[int, DyadicDistance] | None,
-) -> dict:
-    obj: dict = {"name": name}
-    obj["k"] = report.k
-    obj["states"] = input_states
-    obj["strictly_accessible"] = report.strictly_accessible
-    obj["classification"] = report.classification.value
-    obj["opacity"] = _fraction_json(report.opacity.as_fraction())
-    obj["complexity"] = _fraction_json(report.complexity)
-    if report.witness is not None:
-        obj["witness"] = _witness_json(report.witness, report.intrinsic)
-    obj["inhomogeneous_states"] = _inhomogeneous_names(report)
-    obj["minimized_states"] = report.states_count
-    if oracle_result is not None:
-        bound, value = oracle_result
-        obj["oracle"] = {"L": bound, "value": _fraction_json(value.as_fraction())}
-    return obj
-
-
 def _cmd_analyze(args) -> int:
     dfao = _load(args.file)
     report = analyze_sequence(dfao)
-    oracle_result = None
-    oracle_note = None
-    agrees = True
+    names = report.intrinsic.states
+    inhomogeneous = [names[s] for s, v in enumerate(report.state_homogeneity) if not v.homogeneous]
+    w = report.witness
+    if w is not None:
+        word, clash = _format_word(w.word, report.k), names[w.collide_state]
+    # The oracle's outcome: None when not asked for, the refusal's message,
+    # or the length bound and the value found within it.
+    oracle = None
     if args.oracle:
         bound = oracle_bound(report.intrinsic.automaton)
         try:
-            value = brute_force_opacity(report.intrinsic.automaton, bound)
-            oracle_result = (bound, value)
-            agrees = value == report.opacity
+            oracle = bound, brute_force_opacity(report.intrinsic.automaton, bound)
         except InstanceTooLarge as exc:
-            oracle_note = str(exc)
+            oracle = str(exc)
+    agrees = not isinstance(oracle, tuple) or oracle[1] == report.opacity
     code = 0 if agrees else 1
 
     if args.json:
-        obj = _report_json(report, args.file, len(dfao.states), oracle_result)
+        obj = {
+            "name": args.file,
+            "k": report.k,
+            "states": len(dfao.states),
+            "strictly_accessible": report.strictly_accessible,
+            "classification": report.classification.value,
+            "opacity": _fraction_json(report.opacity.as_fraction()),
+            "complexity": _fraction_json(report.complexity),
+            **({} if w is None else {"witness": {
+                "word": word, "state": clash, "pos_a": w.position_a, "pos_b": w.position_b,
+            }}),
+            "inhomogeneous_states": inhomogeneous,
+            "minimized_states": report.states_count,
+            **(
+                {"oracle": {"L": oracle[0], "value": _fraction_json(oracle[1].as_fraction())}}
+                if isinstance(oracle, tuple) else {}
+            ),
+        }
         print(json.dumps(obj))
         return code
 
-    intrinsic = report.intrinsic
     rows = [
         ("name", args.file),
         ("k", str(report.k)),
@@ -150,26 +132,19 @@ def _cmd_analyze(args) -> int:
         ("classification", report.classification.value),
         ("opacity", str(report.opacity)),
         ("opacity complexity", str(report.complexity)),
+        (
+            "shortest witness",
+            "none (every path is homogeneous)" if w is None
+            else f"{word} (clashes at state {clash}, edges {w.position_a} and {w.position_b})",
+        ),
+        ("inhomogeneous states", ", ".join(inhomogeneous) or "none"),
     ]
-    if report.witness is None:
-        rows.append(("shortest witness", "none (every path is homogeneous)"))
-    else:
-        w = report.witness
-        rows.append(
-            (
-                "shortest witness",
-                f"{_format_word(w.word, report.k)} (clashes at state "
-                f"{intrinsic.states[w.collide_state]}, edges {w.position_a} "
-                f"and {w.position_b})",
-            )
-        )
-    rows.append(("inhomogeneous states", ", ".join(_inhomogeneous_names(report)) or "none"))
-    if oracle_result is not None:
-        bound, value = oracle_result
+    if isinstance(oracle, tuple):
+        bound, value = oracle
         verdict = "agrees" if agrees else "DISAGREES"
         rows.append(("oracle", f"{value} at length bound {bound} ({verdict})"))
-    elif oracle_note is not None:
-        rows.append(("oracle", f"skipped: {oracle_note}"))
+    elif oracle is not None:
+        rows.append(("oracle", f"skipped: {oracle}"))
     width = max(len(label) for label, _ in rows)
     for label, value in rows:
         print(f"{label.ljust(width)}  {value}")
@@ -177,21 +152,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    dfao = _load(args.file)
-    fm = intrinsic_automaton(dfao)
+    fm = intrinsic_automaton(_load(args.file))
     text = serialize(fm.target)
-    mapping_lines = [
-        f"{fm.source.states[s]} -> {fm.target.states[fm.assignment[s]]}"
-        for s in range(len(fm.source.states))
-    ]
-    if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
-        for line in mapping_lines:
-            print(line)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
-        for line in mapping_lines:
-            print(line, file=sys.stderr)
+    else:
+        Path(args.output).write_text(text, encoding="utf-8")
+    names = fm.target.states
+    print(
+        "\n".join(f"{s} -> {names[t]}" for s, t in zip(fm.source.states, fm.assignment)),
+        file=sys.stderr if args.output is None else sys.stdout,
+    )
     return 0
 
 
@@ -233,40 +204,27 @@ def _cmd_dot(args) -> int:
 def _cmd_corpus(args) -> int:
     results = evaluate_all()
     if args.json:
-        rows = []
-        for r in results:
-            rows.append(
-                {
-                    "name": r.entry.name,
-                    "k": r.report.k,
-                    "states": r.report.states_count,
-                    "classification": r.report.classification.value,
-                    "opacity": _fraction_json(r.report.opacity.as_fraction()),
-                    "complexity": _fraction_json(r.report.complexity),
-                    "witness_length": r.report.opacity.witness_length,
-                    "oracle_length": r.oracle_length,
-                    "oracle_value": _fraction_json(r.oracle_value.as_fraction()),
-                    "sequence_ok": r.sequence_ok,
-                    "pass": r.passed,
-                }
-            )
-        print(json.dumps(rows))
+        print(json.dumps([
+            {
+                "name": r.entry.name,
+                "k": r.report.k,
+                "states": r.report.states_count,
+                "classification": r.report.classification.value,
+                "opacity": _fraction_json(r.report.opacity.as_fraction()),
+                "complexity": _fraction_json(r.report.complexity),
+                "witness_length": r.report.opacity.witness_length,
+                "oracle_length": r.oracle_length,
+                "oracle_value": _fraction_json(r.oracle_value.as_fraction()),
+                "sequence_ok": r.sequence_ok,
+                "pass": r.passed,
+            }
+            for r in results
+        ]))
     else:
-        header = (
-            "entry",
-            "k",
-            "states",
-            "classification",
-            "opacity",
-            "complexity",
-            "witness",
-            "oracle",
-            "sequence",
-            "result",
-        )
-        table = [header]
-        for r in results:
-            table.append(
+        table = [
+            ("entry", "k", "states", "classification", "opacity", "complexity",
+             "witness", "oracle", "sequence", "result"),
+            *(
                 (
                     r.entry.name,
                     str(r.report.k),
@@ -279,8 +237,10 @@ def _cmd_corpus(args) -> int:
                     "n/a" if r.sequence_ok is None else ("ok" if r.sequence_ok else "FAIL"),
                     "PASS" if r.passed else "FAIL",
                 )
-            )
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+                for r in results
+            ),
+        ]
+        widths = [max(map(len, column)) for column in zip(*table)]
         for row in table:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return 0 if all(r.passed for r in results) else 1
@@ -359,7 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DfaoError, OSError) as exc:
+    # A name that stdout's encoding cannot write is an error like any other.
+    except (DfaoError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from collections import deque
+from collections.abc import Hashable
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from dfao.corpus import ENTRIES, build
 from dfao.errors import (
     BadRadix,
     BadToken,
+    DfaoError,
     DigitOutOfRange,
     DuplicateState,
     DuplicateTransition,
@@ -32,7 +34,7 @@ from dfao.errors import (
     UnknownState,
 )
 from dfao.minimize import intrinsic_automaton, minimize
-from dfao.opacity import analyze_sequence
+from dfao.opacity import analyze_sequence, longest_homogeneous_prefix
 from helpers import (
     all_words,
     canonical_form,
@@ -260,6 +262,66 @@ def test_a_token_that_is_no_string_is_a_bad_token(bad, kind):
             build_it()
         assert str(info.value) == f"{kind} {bad!r} must be a string"
         assert isinstance(info.value, ValueError) and info.value.line is None
+
+
+# Values of the wrong type or range for every field of a description.
+_JUNK = (
+    0, 1, -1, 2, True, None, 0.5, 1.0, float("nan"), 10**30,
+    b"A", b"0", ["A"], [0], ("A",), (0,), "A", "B", "0", "a b", "",
+)
+
+
+def _entry_point_calls(pick):
+    """Calls of every public entry point on a valid two-state machine, each
+    field of which `pick(slot, value)` may replace with junk."""
+    raw = RawDfao(
+        pick("radix", 2),
+        (pick("state", "A"), pick("state", "B")),
+        pick("initial", "A"),
+        (
+            (pick("source", "A"), pick("digit", 0), pick("target", "A")),
+            ("A", pick("digit", 1), "B"),
+            ("B", 0, pick("target", "B")),
+            ("B", 1, "A"),
+        ),
+        ((pick("output name", "A"), pick("token", "0")), ("B", pick("token", "1"))),
+    )
+    key = pick("state", "A")
+    rows = {"B": (pick("target", "B"), "A")}
+    if isinstance(key, Hashable):
+        rows[key] = (pick("target", "A"), "B")
+    outputs = {"A": pick("token", "0"), "B": pick("token", "1")}
+    table = ((0, pick("index", 1)), (pick("index", 1), 0))
+    a = Automaton(2, ("A", "B"), 0, ((0, 1), (1, 0)))
+    word = (1, pick("digit", 0), pick("digit", 1))
+    return [
+        lambda: validate(raw),
+        lambda: make_dfao(pick("radix", 2), rows, pick("initial", "A"), outputs),
+        lambda: Automaton(pick("radix", 2), (pick("state", "A"), "B"), pick("index", 0), table),
+        lambda: Dfao(a, (pick("token", "0"), pick("token", "1"))),
+        lambda: a.run_path(word),
+        lambda: longest_homogeneous_prefix(a, word),
+    ]
+
+
+def test_library_input_raises_only_dfao_errors():
+    """Every entry point answers or raises a DfaoError for junk in one field,
+    for each field and each value, and for junk in random fields."""
+    slots = ("radix", "state", "initial", "source", "digit", "target", "output name", "token",
+             "index")
+    picks = [lambda slot, value, s=s, j=j: j if slot == s else value for s in slots for j in _JUNK]
+    rng = random.Random(26)
+    picks += [lambda slot, value: rng.choice(_JUNK) if rng.random() < 0.3 else value] * 300
+    outcomes = set()
+    for pick in picks:
+        for call in _entry_point_calls(pick):
+            try:
+                call()
+            except DfaoError as exc:
+                outcomes.add(type(exc))
+            else:
+                outcomes.add(None)
+    assert None in outcomes and len(outcomes) >= 7, outcomes
 
 
 def _rebuilt(d):

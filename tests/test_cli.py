@@ -120,6 +120,27 @@ def test_analyze_warns_about_pruning(tmp_path, capsys):
     assert "Z" in captured.err
 
 
+def test_pruning_warning_stays_short_for_thousands_of_states(tmp_path, capsys):
+    """The warning gives the count and the first ten names, however many
+    states are pruned."""
+    unreachable = [f"z{i}" for i in range(5000)]
+    text = "k 2\nstates A " + " ".join(unreachable) + "\ninitial A\nedge A 0 A\nedge A 1 A\n"
+    text += "".join(f"edge {z} {d} A\n" for z in unreachable for d in (0, 1))
+    f = tmp_path / "m.aut"
+    f.write_text(text)
+    assert main(["generate", str(f), "-n", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "A A A\n"
+    assert captured.err == (
+        "warning: pruned 5000 unreachable states: "
+        "z0, z1, z2, z3, z4, z5, z6, z7, z8, z9 and 4990 more\n"
+    )
+    assert len(captured.err) < 1024
+    f.write_text("k 2\nstates A Z\ninitial A\nedge A 0 A\nedge A 1 A\nedge Z 0 Z\nedge Z 1 Z\n")
+    assert main(["generate", str(f), "-n", "1"]) == 0
+    assert capsys.readouterr().err == "warning: pruned 1 unreachable state: Z\n"
+
+
 def test_witness_word_uses_commas_beyond_base_ten(tmp_path, capsys):
     rows = {"A": tuple("B" if d >= 10 else "A" for d in range(12)), "B": ("A",) * 12}
     d = make_dfao(12, rows, "A", {"A": "0", "B": "1"})
@@ -451,6 +472,41 @@ def test_minimize_writes_utf8_under_an_ascii_locale(tmp_path):
     assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
     again = json.loads(run("analyze", "--json", str(src)).stdout)
     assert json.loads(result.stdout) == {**again, "name": str(out)}
+
+
+def test_output_that_stdout_cannot_encode_is_an_error_line(tmp_path):
+    """A name that stdout's encoding cannot write ends the command with exit 1
+    and one `error:` line, not a traceback; a UTF-8 stdout prints it."""
+    src = tmp_path / "accent.aut"
+    src.write_text(
+        "k 2\nstates Ä B\ninitial Ä\noutput Ä é\noutput B 1\n"
+        "edge Ä 0 Ä\nedge Ä 1 B\nedge B 0 B\nedge B 1 Ä\n",
+        encoding="utf-8",
+    )
+    wide = tmp_path / "\u6a5f.aut"  # a name latin-1 cannot write
+    wide.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
+    ascii_env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    ascii_env.pop("PYTHONIOENCODING", None)
+    cases = [
+        (ascii_env, ["generate", str(src), "-n", "4"]),
+        (ascii_env, ["minimize", str(src)]),
+        (ascii_env, ["dot", str(src)]),
+        ({**os.environ, "PYTHONIOENCODING": "latin-1"}, ["analyze", str(wide)]),
+    ]
+    for env, args in cases:
+        result = subprocess.run(
+            [sys.executable, "-m", "dfao.cli", *args], capture_output=True, env=env
+        )
+        err = result.stderr.decode("utf-8", "replace")
+        assert result.returncode == 1, (args, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        assert "Traceback" not in err
+        result = subprocess.run(
+            [sys.executable, "-m", "dfao.cli", *args], capture_output=True,
+            env={**env, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert result.returncode == 0, (args, result.stderr)
+        assert {"é", "\u6a5f"} & set(result.stdout.decode("utf-8")), args
 
 
 def test_huge_radix_fails_cleanly_without_allocating(tmp_path):
