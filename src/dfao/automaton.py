@@ -153,17 +153,25 @@ def _preimages(rows: Sequence[Sequence[int]], k: int, order: Iterable[int]) -> l
 
 
 def _bfs(
-    rows: Sequence[Sequence[int]], start: int, limit: int | None = None
-) -> tuple[list[int], list[int | None]]:
+    rows: Sequence[Sequence[int]],
+    start: int,
+    limit: int | None = None,
+    dist: list[int | None] | None = None,
+    parent: list[int | None] | None = None,
+) -> tuple[list[int], list[int | None], list[int | None]]:
     """Breadth-first search from start over the successor lists rows[s].
 
     Returns the reached states in discovery order, successors taken in
-    row order, and each state's distance from start (None when it is not
-    reached).  With a limit, the search stops expanding at the first state
-    `limit` edges away, so exactly the states within `limit` edges are
-    reached.
+    row order, each state's distance from start and its parent, the state
+    whose row first reached it (both None for a state not reached, and
+    the parent None at start).  With a limit, the search stops expanding
+    at the first state `limit` edges away, so exactly the states within
+    `limit` edges are reached.  A caller may pass its own `dist` and
+    `parent` lists, None at every entry; the search then allocates
+    nothing of size n and costs only its reach.
     """
-    dist: list[int | None] = [None] * len(rows)
+    if dist is None:
+        dist, parent = [None] * len(rows), [None] * len(rows)
     dist[start] = 0
     order = [start]
     for s in order:  # grows while iterating; append order is BFS order
@@ -174,8 +182,9 @@ def _bfs(
         for t in rows[s]:
             if dist[t] is None:
                 dist[t] = depth
+                parent[t] = s
                 order.append(t)
-    return order, dist
+    return order, dist, parent
 
 
 @dataclass(frozen=True)
@@ -350,15 +359,19 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
             gap = next(key for key in range(n * k) if key not in table)
             s, d = divmod(gap, k)
             raise MissingTransition(f"no edge for state {raw.states[s]!r} on digit {d}")
-        # The keys are distinct and below n * k, and there are at least n * k
-        # of them, so they are range(len(table)) unless some digit, such as
-        # 0.5, is no whole number.
-        rows = tuple(zip(*[map(table.__getitem__, range(len(table)))] * k))
-    except (TypeError, KeyError):  # a digit that is no integer: '0' fails `<=`, 0.5 the rows
+        # A key is no integer exactly when its digit is none, and then neither
+        # is the sum: a whole 1.0, Decimal(1) or Fraction(1) keys like 1.
+        integral = isinstance(sum(table), Integral)
+    except TypeError:  # '0' fails `<=`; a Decimal key beside a float or Fraction fails the sum
+        integral = False
+    if not integral:
         i = next(i for i, e in enumerate(raw.edges) if not isinstance(e[1], Integral))
         raise DigitOutOfRange(
             f"digit {raw.edges[i][1]!r} out of range for k={k}", lines and lines.edges[i]
-        ) from None
+        )
+    # The keys are distinct integers below n * k, and there are at least
+    # n * k of them, so they are range(len(table)).
+    rows = tuple(zip(*[map(table.__getitem__, range(len(table)))] * k))
 
     states = tuple(raw.states)
     if raw.outputs is None:
@@ -421,7 +434,7 @@ def _relabel_rows(
 def _prune(k: int, states: Names, initial: int, rows: Rows, outputs: Names) -> tuple[Dfao, Names]:
     """Drop states unreachable from `initial`, keeping declaration order.
     Returns the machine, built unchecked, and the dropped names.  O(nk)."""
-    order, dist = _bfs(rows, initial)
+    order, dist, _ = _bfs(rows, initial)
     if len(order) == len(rows):
         return _build(k, states, initial, rows, outputs), ()
     keep = [i for i, depth in enumerate(dist) if depth is not None]

@@ -154,15 +154,15 @@ def _cmd_analyze(args) -> int:
 def _cmd_minimize(args) -> int:
     fm = intrinsic_automaton(_load(args.file))
     text = serialize(fm.target)
+    names = fm.target.states
+    mapping = "\n".join(f"{s} -> {names[t]}" for s, t in zip(fm.source.states, fm.assignment))
     if args.output is None:
         sys.stdout.write(text)
+        print(mapping, file=sys.stderr)
     else:
+        # The mapping first: a name that stdout cannot encode leaves no file.
+        print(mapping)
         Path(args.output).write_text(text, encoding="utf-8")
-    names = fm.target.states
-    print(
-        "\n".join(f"{s} -> {names[t]}" for s, t in zip(fm.source.states, fm.assignment)),
-        file=sys.stderr if args.output is None else sys.stdout,
-    )
     return 0
 
 

@@ -69,29 +69,29 @@ up to n <= entry(s, x) + loop(s, y), so both bounds are tight: the head
 is a shortest entry, the tail a shortest loop, s is the clash state and
 a is the head's length minus 1.  Breadth-first search that takes
 successors in digit order discovers states in the order of their
-smallest shortest words, by length and then lexicographically.  So heads
-of one length compare as (rank of the state their last edge leaves,
-digit), and so do tails, and a word is rebuilt backwards: a state's
-first-ranked in-neighbour is its parent on that word.  Heads of one
-length into different states, or on different digits, are different
-words, so among the heads of one length that some tied state completes
-with a tail, only the smallest can start the witness.  So a tie
-completes a head only when it is the smallest of its length so far, with
-a tail read off the tie's own loop search: that search reached the
-tail's depth, and breadth-first ranks up to a depth do not depend on
-where the search stops.
+smallest shortest words, by length and then lexicographically.  So a
+state's smallest shortest word is read backwards along the search's
+parents: each letter is the digit on which the parent, the state whose
+row first reached it, enters it.  The same order compares words without
+reading them: heads of one length compare as (rank of the state their
+last edge leaves, digit), and so do tails.  Heads of one length into
+different states, or on different digits, are different words, so among
+the heads of one length that some tied state completes with a tail, only
+the smallest can start the witness.  So a tie completes a head only
+when it is the smallest of its length so far, with the smallest tail of
+the tie's own loop search: that search reached the tail's depth, and
+breadth-first ranks and parents up to a depth do not depend on where
+the search stops.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable
 
-from .automaton import Automaton, Dfao, Word, _bfs, _preimages
+from .automaton import Automaton, Dfao, Rows, Word, _bfs, _preimages
 from .dyadic import ZERO, DyadicDistance, pow2inv
 from .minimize import intrinsic_automaton
 
@@ -209,21 +209,15 @@ def is_homogeneous_automaton(a: Automaton) -> bool:
     return all(v.homogeneous for v in state_homogeneity(a))
 
 
-def _word(rank: dict[int, int], preimages: list[list[list[int]]], t: int) -> Word:
-    """The smallest shortest word from the search's start into t, rebuilt
-    backwards: each letter is the digit on which t's first-ranked reached
-    in-neighbour enters it, the smaller digit on a tie.  Each letter reads
-    t's in-neighbour lists once, keeping a running minimum of the ranks."""
+def _read_word(rows: Rows, parent: list[int | None], t: int) -> Word:
+    """The smallest shortest word from a breadth-first search's start into
+    t, read backwards along the search's parents: each letter is the first
+    digit on which the parent's row enters the state, the digit the search
+    reached it on.  O(k) per letter."""
     word = []
-    while rank[t]:  # only the start has rank 0
-        top = len(rank)
-        for dig, preimage in enumerate(preimages):
-            for r in preimage[t]:
-                rk = rank.get(r, top)
-                if rk < top:
-                    top, letter, parent = rk, dig, r
-        word.append(letter)
-        t = parent
+    while (p := parent[t]) is not None:
+        word.append(rows[p].index(t))
+        t = p
     return tuple(reversed(word))
 
 
@@ -236,17 +230,20 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     search from the initial state ranks every head.  When a searched state
     ties or beats the running best, each of its heads that reaches the
     total and is the smallest of its length so far is completed at once,
-    with a tail read off the loop search just run; no search runs after
-    the candidate loop.  Memory stays O(n): the best word, one rank dict
-    at a time, and one head per head length; no tie's search is kept.
+    with the smallest tail of the loop search just run; both are read off
+    breadth-first parents, and no search runs after the candidate loop.
+    Memory stays O(n): the best word, the search from the initial state
+    with its ranks, one head per head length, and two n-slot lists,
+    distances and parents, that every loop search shares.
 
     Cost: O(nk) for the search from the initial state and its lists of
     reached in-neighbours, whose first entries give a visited state's
-    shortest entries; one depth-bounded search, O(nk), per candidate state
-    that its in-neighbours' cycle bounds do not rule out, which costs its
-    reach and nothing more when it reaches none of the state's
-    in-neighbours; and per completed head one word, O(nk), no more than
-    the loop search that found it.
+    shortest entries; one depth-bounded search per candidate state that
+    its in-neighbours' cycle bounds do not rule out, which costs its
+    reach and nothing more, as it first clears only the entries of the
+    shared lists that the search before it reached; and per completed
+    head a scan of that search's reach for the tail, and the head and
+    the tail read off parents at O(k) per letter.
     That is O(nk) on cycle chains: every state there is a candidate, but
     after the first full loop search each next state's in-neighbour
     carries a bound longer than any loop that could still tie.  It is
@@ -260,18 +257,23 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
     is searched; all of them tie with heads of one length, and only the
     first leaf's head is completed.
     """
-    order0, dist0 = _bfs(a.transition, a.initial)
+    rows, n = a.transition, len(a.states)
+    order0, dist0, parent0 = _bfs(rows, a.initial)
     # Reached feeders in breadth-first order, so the first one is the shallowest.
-    preimages = _preimages(a.transition, a.k, order0)
+    preimages = _preimages(rows, a.k, order0)
     rank0 = {t: i for i, t in enumerate(order0)}
+    # Every loop search fills these; the next one first clears what it reached.
+    dist: list[int | None] = [None] * n
+    parent: list[int | None] = [None] * n
+    reached: list[int] = []
 
     # Only states entered on two distinct digits can host a clash; the
     # visiting order, both bounds and the skip on the in-neighbours' cycle
     # bounds are justified in the module docstring.
-    best_total = 2 * len(a.states) + 1  # exceeds every total (module docstring)
+    best_total = 2 * n + 1  # exceeds every total (module docstring)
     best: PathWitness | None = None
     heads: dict[int, tuple[int, int]] = {}  # head length -> smallest head recorded
-    cycle = [1] * len(a.states)  # lower bound on the shortest cycle through each state
+    cycle = [1] * n  # lower bound on the shortest cycle through each state
     for s in order0:
         # One pass over s's in-neighbour lists: the digits entering s, the
         # depth of its shallowest feeder, and the last digit's feeders.
@@ -302,12 +304,14 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         else:
             cycle[s] = limit + 2
             continue
-        order_s, dist_s = _bfs(a.transition, s, limit)
-        if all(dist_s[r] is None for p in preimages for r in p[s]):
+        for t in reached:
+            dist[t] = parent[t] = None
+        reached = _bfs(rows, s, limit, dist, parent)[0]
+        if all(dist[r] is None for p in preimages for r in p[s]):
             cycle[s] = limit + 2  # no loop within the limit
             continue
         entry = [dist0[p[s][0]] + 1 if p[s] else None for p in preimages]
-        loop = [_arrival(dist_s, p[s]) for p in preimages]
+        loop = [_arrival(dist, p[s]) for p in preimages]
         cycle[s] = min(lp for lp in loop if lp is not None)
         total = min(
             (
@@ -327,7 +331,8 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
         # head of its length is recorded (module docstring).  This search
         # reached every state within the tail's depth, total - e - 1, and
         # there each feeder of s on a digit other than x ends a shortest
-        # tail, as no total at s is below `total`.
+        # tail, as no total at s is below `total`; the smallest tail ends
+        # on the first of them reached, on its smallest such digit.
         for x, e in enumerate(entry):
             if e is None or total - e not in loop[:x] + loop[x + 1 :]:
                 continue
@@ -336,17 +341,17 @@ def shortest_inhomogeneous_path(a: Automaton) -> PathWitness | None:
             if heads.get(e, head) < head:
                 continue
             heads[e] = head
-            tail = islice(order_s, bisect_right(order_s, total - e - 1, key=dist_s.__getitem__))
-            rank_s = {t: i for i, t in enumerate(tail)}
-            _, y, q = min(
-                (rank_s[q], y, q)
+            feeds = {
+                q
                 for y, preimage in enumerate(preimages)
                 if y != x
                 for q in preimage[s]
-                if q in rank_s
-            )
+                if dist[q] == total - e - 1
+            }
+            q = next(q for q in reached if q in feeds)
+            y = min(y for y, t in enumerate(rows[q]) if t == s and y != x)
             # A word's head ends at its position_a.
-            word = _word(rank0, preimages, p) + (x,) + _word(rank_s, preimages, q) + (y,)
+            word = _read_word(rows, parent0, p) + (x,) + _read_word(rows, parent, q) + (y,)
             if best is None or word < best.word:
                 best = PathWitness(word, s, e - 1)
     return best

@@ -4,8 +4,10 @@ searches used to cross-check the structural algorithms."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -23,6 +25,17 @@ from dfao.dyadic import ZERO, DyadicDistance, pow2inv
 from dfao.errors import BadRadix, UnknownState
 from dfao.minimize import FactorMap, Partition, moore_partition
 from dfao.opacity import _arrival
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**changes: str) -> dict[str, str]:
+    """This process's environment with `changes`, and with the checkout's
+    `src` first on PYTHONPATH: a child interpreter then imports this
+    checkout's `dfao` whether or not the package is installed."""
+    env = {**os.environ, **changes}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def digits_msb(n: int, k: int) -> Word:

@@ -1,9 +1,14 @@
 """Core machine type: construction, validation, runs, equivalence."""
 
+import dataclasses
 import random
 import tracemalloc
 from collections import deque
 from collections.abc import Hashable
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 from dfao.automaton import (
     Automaton,
     Dfao,
+    LineMap,
     RawDfao,
     _bfs,
     are_equivalent,
@@ -324,6 +330,29 @@ def test_library_input_raises_only_dfao_errors():
     assert None in outcomes and len(outcomes) >= 7, outcomes
 
 
+def test_whole_digits_that_are_no_integers_are_refused():
+    """A digit of 1.0, Decimal(1) or Fraction(1) keys its edge like 1, yet it
+    is no integer: `validate` refuses it as `run_path` does, with the
+    message 0.5 gets, and names its edge's line when it has a line map.
+    numpy integers are integers."""
+    for digit in (0.5, 1.0, Decimal(1), Fraction(1)):
+        raw = RawDfao(2, ("A", "B"), "A", (("A", 0, "A"), ("A", digit, "B"), ("B", 0, "B"), ("B", 1, "A")))
+        message = f"digit {digit!r} out of range for k=2"
+        with pytest.raises(DigitOutOfRange) as info:
+            validate(raw)
+        assert (str(info.value), info.value.line) == (message, None)
+        with pytest.raises(DigitOutOfRange) as info:
+            validate(dataclasses.replace(raw, lines=LineMap(1, (), (5, 6, 7, 8))))
+        assert (str(info.value), info.value.line) == (f"line 6: {message}", 6)
+        with pytest.raises(DigitOutOfRange) as info:
+            Automaton(2, ("A", "B"), 0, ((0, 1), (1, 0))).run_path((digit,))
+        assert str(info.value) == message
+    edges = (("A", np.int64(0), "A"), ("A", np.int8(1), "B"), ("B", 0, "B"), ("B", 1, "A"))
+    assert validate(RawDfao(2, ("A", "B"), "A", edges)) == validate(
+        RawDfao(2, ("A", "B"), "A", (("A", 0, "A"), ("A", 1, "B"), ("B", 0, "B"), ("B", 1, "A")))
+    )
+
+
 def _rebuilt(d):
     """d through the checking public constructors, from fresh tuples."""
     a = d.automaton
@@ -596,8 +625,10 @@ def test_dfao_properties():
 
 
 def _deque_bfs(rows, start):
-    """Queue-based breadth-first search: discovery order and distances."""
+    """Queue-based breadth-first search: discovery order, distances and
+    each state's discoverer."""
     dist = [None] * len(rows)
+    parent = [None] * len(rows)
     dist[start] = 0
     order = []
     queue = deque([start])
@@ -607,20 +638,24 @@ def _deque_bfs(rows, start):
         for t in rows[s]:
             if dist[t] is None:
                 dist[t] = dist[s] + 1
+                parent[t] = s
                 queue.append(t)
-    return order, dist
+    return order, dist, parent
 
 
 def _check_bfs(rows):
-    """_bfs from every start equals the queue-based search, and each limit
-    from 0 to len(rows) cuts off exactly the states beyond it."""
+    """_bfs from every start equals the queue-based search, parents
+    included, and each limit from 0 to len(rows) cuts off exactly the
+    states beyond it, keeping the parents of those within it."""
     for start in range(len(rows)):
-        order, dist = _bfs(rows, start)
-        assert (order, dist) == _deque_bfs(rows, start)
+        order, dist, parent = _bfs(rows, start)
+        assert (order, dist, parent) == _deque_bfs(rows, start)
         for limit in range(len(rows) + 1):
+            within = [d is not None and d <= limit for d in dist]
             assert _bfs(rows, start, limit) == (
                 [s for s in order if dist[s] <= limit],
-                [d if d is not None and d <= limit else None for d in dist],
+                [d if w else None for d, w in zip(dist, within)],
+                [p if w else None for p, w in zip(parent, within)],
             )
 
 

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from dfao import cli
 from dfao.cli import main
 from dfao.corpus import ENTRIES, build
 from dfao.dyadic import pow2inv
-from helpers import random_dfao, residue_machine, split_state
+from helpers import child_env, random_dfao, residue_machine, split_state
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -263,6 +262,7 @@ def test_equiv_is_bounded_under_memory_cap(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "dfao.cli", "equiv", *files],
         capture_output=True,
+        env=child_env(),
         text=True,
         preexec_fn=cap,
         timeout=60,
@@ -290,6 +290,7 @@ def test_non_utf8_file_fails_cleanly(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "dfao.cli", "analyze", str(f)],
         capture_output=True,
+        env=child_env(),
         text=True,
     )
     assert result.returncode == 1
@@ -323,6 +324,7 @@ def test_oversized_file_is_refused_before_reading(tmp_path):
             result = subprocess.run(
                 [sys.executable, "-m", "dfao.cli", *argv],
                 capture_output=True,
+                env=child_env(),
                 text=True,
                 preexec_fn=cap,
             )
@@ -342,6 +344,7 @@ def test_generate_refuses_a_count_over_the_limit():
     result = subprocess.run(
         [sys.executable, "-m", "dfao.cli", "generate", aut("thue_morse"), "-n", str(count)],
         capture_output=True,
+        env=child_env(),
         text=True,
         preexec_fn=cap,
         timeout=30,
@@ -372,6 +375,7 @@ def test_generate_refuses_long_output_before_generating(tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "dfao.cli", "generate", *argv],
             capture_output=True,
+            env=child_env(),
             text=True,
             preexec_fn=cap,
             timeout=30,
@@ -456,7 +460,7 @@ def test_minimize_writes_utf8_under_an_ascii_locale(tmp_path):
         "edge é 0 é\nedge é 1 B\nedge B 0 B\nedge B 1 é\n",
         encoding="utf-8",
     )
-    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONUTF8": "0", "LC_ALL": "C"}
+    env = child_env(PYTHONIOENCODING="utf-8", PYTHONUTF8="0", LC_ALL="C")
 
     def run(*args):
         return subprocess.run(
@@ -485,13 +489,13 @@ def test_output_that_stdout_cannot_encode_is_an_error_line(tmp_path):
     )
     wide = tmp_path / "\u6a5f.aut"  # a name latin-1 cannot write
     wide.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
-    ascii_env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    ascii_env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     ascii_env.pop("PYTHONIOENCODING", None)
     cases = [
         (ascii_env, ["generate", str(src), "-n", "4"]),
         (ascii_env, ["minimize", str(src)]),
         (ascii_env, ["dot", str(src)]),
-        ({**os.environ, "PYTHONIOENCODING": "latin-1"}, ["analyze", str(wide)]),
+        (child_env(PYTHONIOENCODING="latin-1"), ["analyze", str(wide)]),
     ]
     for env, args in cases:
         result = subprocess.run(
@@ -509,6 +513,29 @@ def test_output_that_stdout_cannot_encode_is_an_error_line(tmp_path):
         assert {"é", "\u6a5f"} & set(result.stdout.decode("utf-8")), args
 
 
+def test_minimize_to_a_file_fails_before_writing_it(tmp_path):
+    """When stdout cannot encode a state name of the mapping, `minimize -o`
+    exits 1 with one `error:` line and leaves no file behind; a UTF-8
+    stdout prints the mapping and the file is written."""
+    src, out = tmp_path / "accent.aut", tmp_path / "out.aut"
+    src.write_text(
+        "k 2\nstates Ä B\ninitial Ä\noutput Ä 0\noutput B 1\n"
+        "edge Ä 0 Ä\nedge Ä 1 B\nedge B 0 B\nedge B 1 Ä\n",
+        encoding="utf-8",
+    )
+    env = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env.pop("PYTHONIOENCODING", None)
+    argv = [sys.executable, "-m", "dfao.cli", "minimize", str(src), "-o", str(out)]
+    result = subprocess.run(argv, capture_output=True, env=env)
+    err = result.stderr.decode("utf-8", "replace")
+    assert (result.returncode, result.stdout) == (1, b""), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    result = subprocess.run(argv, capture_output=True, env={**env, "PYTHONIOENCODING": "utf-8"})
+    assert (result.returncode, result.stdout.decode("utf-8")) == (0, "Ä -> A\nB -> B\n")
+    assert out.read_text(encoding="utf-8").startswith("k 2\n")
+
+
 def test_huge_radix_fails_cleanly_without_allocating(tmp_path):
     """A radix of 10**9 must not size anything: the missing edge is
     reported under a 1 GiB address-space cap, where a table of k slots
@@ -523,6 +550,7 @@ def test_huge_radix_fails_cleanly_without_allocating(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "dfao.cli", "analyze", str(f)],
         capture_output=True,
+        env=child_env(),
         text=True,
         preexec_fn=cap,
     )
@@ -546,6 +574,7 @@ def test_oracle_table_refusal_is_skipped_under_memory_cap(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "dfao.cli", "analyze", "--json", "--oracle", str(f)],
         capture_output=True,
+        env=child_env(),
         text=True,
         preexec_fn=cap,
         timeout=60,
@@ -607,6 +636,7 @@ def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "dfao.cli", "generate", aut("thue_morse"), "-n", "4"],
         capture_output=True,
+        env=child_env(),
         text=True,
     )
     assert result.returncode == 0

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import child_env
+
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 CHILD = """
@@ -47,6 +49,7 @@ for f in files:
 
 def test_numpy_loads_only_when_the_oracle_sweeps():
     result = subprocess.run(
-        [sys.executable, "-c", CHILD, str(CORPUS_DIR)], capture_output=True, text=True
+        [sys.executable, "-c", CHILD, str(CORPUS_DIR)], capture_output=True, text=True,
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr

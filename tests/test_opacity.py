@@ -153,7 +153,7 @@ def test_breadth_first_preimages_give_shortest_entries():
     for _ in range(400):
         a = _raw_automaton(rng, rng.choice((2, 3)), rng.randint(2, 7))
         n, rows = len(a.states), a.transition
-        order0, dist0 = _bfs(rows, a.initial)
+        order0, dist0, _ = _bfs(rows, a.initial)
         out_of_order += order0 != sorted(order0)
         preimages = _preimages(rows, a.k, order0)
         for d, preimage in enumerate(preimages):
@@ -365,10 +365,10 @@ def _witness_and_searches(monkeypatch, a):
     search of the witness search reached, in call order."""
     reached = []
 
-    def counted(rows, start, limit=None):
-        order, dist = _bfs(rows, start, limit)
-        reached.append(len(order))
-        return order, dist
+    def counted(*args):
+        result = _bfs(*args)
+        reached.append(len(result[0]))
+        return result
 
     with monkeypatch.context() as patch:
         patch.setattr(opacity, "_bfs", counted)
@@ -415,6 +415,50 @@ def test_witness_search_on_tree_cycles_runs_no_tail_search(monkeypatch):
         assert len(reached) == 2**h + 1, (h, len(reached))
 
 
+def _stem_tree(stem, h, back_to_start):
+    """A binary machine: `stem` states in a row on digit 0 from state 0 into
+    a complete binary tree of depth h (internal j steps to 2j+1 and 2j+2).
+    Each leaf loops to itself on the digit it is not entered on, or, with
+    `back_to_start`, returns to state 1 on digit 1, and state 0 enters
+    state 1 on digit 0.  Every other edge goes to a sink entered on its own
+    digit only, so the leaves, or state 1, are the only clash states."""
+    first, leaves = stem, 2**h
+    sink = (first + 2 * leaves - 1, first + 2 * leaves)
+    rows = [(i + 1, sink[1]) for i in range(stem)]
+    rows += [(first + 2 * j + 1, first + 2 * j + 2) for j in range(leaves - 1)]
+    for j in range(leaves - 1, 2 * leaves - 1):
+        if back_to_start:
+            rows.append((sink[0], 1))
+        else:  # a left child, of odd index, is entered on 0 and loops on 1
+            rows.append((first + j, sink[1]) if j % 2 == 0 else (sink[0], first + j))
+    rows += [sink, sink]
+    return Automaton(2, tuple(f"q{s}" for s in range(len(rows))), 0, tuple(rows))
+
+
+def test_ties_read_only_the_words_they_complete(monkeypatch):
+    """Tied heads, and the tails that end one loop, are compared by rank
+    and not read: with 2^h leaves tying after a long stem, or 2^h leaves
+    feeding the clash state a tail long, the search reads one head and one
+    tail, not 2^h words as long as the machine."""
+    for h in (3, 6):
+        for back_to_start in (False, True):
+            a = _stem_tree(40, h, back_to_start)
+            reads = []
+
+            def read(rows, parent, t, original=opacity._read_word):
+                reads.append(t)
+                return original(rows, parent, t)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(opacity, "_read_word", read)
+                got = shortest_inhomogeneous_path(a)
+            if back_to_start:  # 0 enters 1 on 0; 1 runs the stem and the tree back to itself
+                assert (got.word, got.collide_state, got.position_a) == ((0,) * (40 + h) + (1,), 1, 0)
+            else:  # the leftmost leaf, entered on 0 after 40 + h edges, loops on 1
+                assert (got.word, got.collide_state) == ((0,) * (40 + h) + (1,), 40 + 2**h - 1)
+            assert len(reads) == 2, (h, back_to_start, len(reads))
+
+
 def test_loop_searches_that_find_no_loop_stop_at_once(monkeypatch):
     """Random machines of the benchmark's shape, k 2 and 4 and 64 to 1024
     states: most loop searches reach none of their state's in-neighbours
@@ -425,13 +469,13 @@ def test_loop_searches_that_find_no_loop_stop_at_once(monkeypatch):
     rng = random.Random(61)
     searches = found = arrivals = 0
 
-    def searched(rows, start, limit=None):
+    def searched(rows, start, limit=None, *lists):
         nonlocal searches, found
-        order, dist = _bfs(rows, start, limit)
+        result = _bfs(rows, start, limit, *lists)
         if limit is not None:  # a loop search, not the one from the initial state
             searches += 1
-            found += any(start in rows[r] for r in order)
-        return order, dist
+            found += any(start in rows[r] for r in result[0])
+        return result
 
     def arrival(dist, feeders, original=opacity._arrival):
         nonlocal arrivals
@@ -454,6 +498,40 @@ def test_loop_searches_that_find_no_loop_stop_at_once(monkeypatch):
             _assert_witness_is_exhaustive_lexmin(a, got, len(got.word))
             exhaustive += 1
     assert searches >= 5 * found and exhaustive >= 20, (searches, found, exhaustive)
+
+
+def test_loop_searches_share_two_lists_that_each_finds_cleared(monkeypatch):
+    """Every loop search of one witness search gets the same distance and
+    parent lists and finds them None at every entry: each search clears
+    only what the one before it reached, and that is all it left, so no
+    entry leaks from one search into the next."""
+    rng = random.Random(28)
+    machines = [
+        Automaton(k, tuple(f"q{s}" for s in range(n)), 0,
+                  tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n)))
+        for k, n in ((rng.choice((2, 3, 4)), rng.randint(8, 300)) for _ in range(40))
+    ]
+    machines += [intrinsic_automaton(cycle_chain(n, k)).target.automaton
+                 for n in (5, 33, 100) for k in (2, 3)]
+    machines += [tree_cycle(h) for h in range(1, 8)]
+    machines += [alternating_cycle(n) for n in (4, 10, 64, 200)]
+    shared_by_many = 0
+    for a in machines:
+        shared = []
+
+        def searched(rows, start, limit=None, *lists):
+            if limit is not None:  # a loop search, not the one from the initial state
+                assert len(lists) == 2 and len(lists[0]) == len(lists[1]) == len(rows)
+                assert all(v is None for lst in lists for v in lst)
+                assert all(x is y for x, y in zip(lists, shared[0] if shared else lists))
+                shared.append(lists)
+            return _bfs(rows, start, limit, *lists)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(opacity, "_bfs", searched)
+            shortest_inhomogeneous_path(a)
+        shared_by_many += len(shared) >= 2
+    assert shared_by_many >= 30, shared_by_many
 
 
 def _visited_candidates(a):
