@@ -51,8 +51,12 @@ ASSIGNMENT_LIMIT = 10**6
 # Bytes of the per-(k, n) mask table and of one length's alive table,
 # k**m rows of ceil(k**n / 64) uint64 words; a sweep refuses the first
 # length whose table would not fit.  The cap counts that one table only:
-# a sweep whose table fills it holds about 1.7 times as much (see `_sweep`).
+# a sweep whose table fills it holds about 1.6 times as much, and each
+# sweep builds a table the size of its mask table too (see `_sweep`).  It
+# also bounds the sweep buffers kept between sweeps.
 _TABLE_LIMIT = 64 * 2**20
+# The set of buffers that a finished sweep leaves for the next one.
+_spare: list[list[np.ndarray]] = []
 
 
 def oracle_bound(a: Automaton) -> int:
@@ -114,19 +118,33 @@ def _sweep(a: Automaton, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
     spell i in base k: entry i of length m extends entry i % k**(m-1) of
     length m - 1 by the digit i // k**(m-1).  Keeping the new digit
     outermost lets each length's AND read its parents' alive table as
-    contiguous rows.
+    contiguous rows.  `read` is valid only until the next length is asked
+    for; both callers use it at once.
+
+    Each word carries its end state.  follow[:, d, s], a table the size of
+    the mask table, is the mask for digit d of the state that s enters on
+    d, so the children of a word gather their masks from follow with the
+    word's end state, and AND them with its alive set.  A length's end
+    states are built only when the next length is asked for, so the last
+    length builds none.
 
     Budgets, in this order: relabelings, before anything is built; then
     the mask table, and before each length that length's alive table,
-    against `_TABLE_LIMIT`.  Length m costs O(k^m * ceil(k^n / 64)) time
-    and holds k^m * ceil(k^n / 64) * 8 bytes of alive table, next to its
-    parent's table, which is k times smaller, plus 8 bytes of mask column
-    and 1 of readback flag per word.  The cap counts the alive table
-    alone, so the peak is higher: a transparent 9-state binary machine,
-    whose length-20 table of 2^20 rows of 8 words fills the cap exactly,
-    peaked at 140 MB of resident memory, against 28 MB for a trivial
-    sweep in the same child process, so the sweep held about 1.7 times
-    the cap (CPython 3.11, numpy 2.4, Linux x86_64).
+    against `_TABLE_LIMIT`.  Length m costs O(k^m * ceil(k^n / 64)) time.
+    Its alive table of k^m * ceil(k^n / 64) * 8 bytes, its 1-byte readback
+    flags and then its 8-byte end states go into buffers of parity m % 2,
+    so its parent's stay readable.  A buffer is replaced only when a
+    length needs more room.  A finished sweep leaves its set of buffers,
+    follow's included, to the next one if the set totals at most
+    `_TABLE_LIMIT` bytes, so a repeated sweep takes no fresh memory and a
+    process keeps at most that much between sweeps; a sweep that finds no
+    set left, such as a second live one, builds its own.  The cap counts
+    the alive table alone, so the peak is higher: a transparent 9-state
+    binary machine, whose length-20 table of 2^20 rows of 8 words fills
+    the cap exactly, peaked at 132 MiB of resident memory, against 28 MiB
+    for a trivial sweep in the same child process.  So the sweep held
+    about 1.6 times the cap: its last two tables, 1.5 times, and their
+    flags and end states (CPython 3.11, numpy 2.4, Linux x86_64).
     """
     import numpy as np  # local for the same reason as in `_masks`
 
@@ -137,27 +155,52 @@ def _sweep(a: Automaton, max_len: int) -> Iterator[tuple[int, np.ndarray]]:
         )
     masks = _masks(k, n)
     width = masks.shape[0]
-    masks = masks.reshape(width, n * k)  # column s * k + d
-    # column[s, d]: the mask column of the state s enters on digit d;
-    # successors[d, c]: the same from the state of mask column c
-    column = np.asarray(a.transition, dtype=np.intp) * k + np.arange(k)
-    successors = column.T.repeat(k, axis=1)
-    # each word's mask column; any column of the initial state stands for
-    # the empty word, since successors[:, c] depends on c // k alone
-    at = np.asarray([a.initial * k])
-    alive = np.bitwise_or.reduce(masks, axis=1)[:, None]  # every relabeling
-    for m in range(1, max_len + 1):
-        table_bytes = k**m * width * 8
-        if table_bytes > _TABLE_LIMIT:
-            raise InstanceTooLarge(
-                f"length {m} needs a {table_bytes}-byte table of {k}**{m} words "
-                f"x {k}**{n} relabelings, over the budget of {_TABLE_LIMIT} bytes"
-            )
-        at = np.take(successors, at.ravel(), axis=1)  # (k, words of length m - 1)
-        child = np.take(masks, at, axis=1)
-        child &= alive[:, None, :]
-        alive = child.reshape(width, -1)
-        yield m, np.logical_or.reduce(alive, axis=0)
+    try:
+        bufs = _spare.pop()
+    except IndexError:
+        kinds = (np.uint64,) * 3 + (np.intp,) * 2 + (np.bool_,) * 2
+        bufs = [np.empty(0, kind) for kind in kinds]
+
+    # bufs[0] holds follow; bufs[1 + j % 2], bufs[3 + j % 2] and
+    # bufs[5 + j % 2] hold length j's alive table, end states and flags
+    def room(slot: int, size: int) -> np.ndarray:
+        if bufs[slot].size < size:
+            bufs[slot] = np.empty(size, bufs[slot].dtype)
+        return bufs[slot][:size]
+
+    # Every gather writes into its buffer through `out=`.  The indices are
+    # in range by construction, so mode="clip", as "raise" would buffer
+    # `out`; the array method skips `np.take`'s Python wrapper.
+    try:
+        # step[d, s]: the state s enters on digit d
+        step = np.asarray(a.transition, dtype=np.intp).T.copy()
+        follow = room(0, width * k * n).reshape(width, k, n)
+        column = step * k + np.arange(k)[:, None]
+        masks.reshape(width, n * k).take(column, axis=1, out=follow, mode="clip")
+        end = np.array([a.initial], dtype=np.intp)  # the empty word's
+        for m in range(1, max_len + 1):
+            words = k**m
+            table_bytes = words * width * 8
+            if table_bytes > _TABLE_LIMIT:
+                raise InstanceTooLarge(
+                    f"length {m} needs a {table_bytes}-byte table of {k}**{m} words "
+                    f"x {k}**{n} relabelings, over the budget of {_TABLE_LIMIT} bytes"
+                )
+            p = m % 2
+            if m > 1:  # the end states of length m - 1
+                out = room(3 + (m - 1) % 2, words // k)
+                step.take(end, axis=1, out=out.reshape(k, -1), mode="clip")
+                end = out
+            children = room(1 + p, words * width).reshape(width, k, -1)
+            follow.take(end, axis=2, out=children, mode="clip")
+            if m > 1:
+                children &= alive
+            alive = children.reshape(width, 1, -1)  # the next length's parents
+            read = room(5 + p, words)
+            yield m, np.logical_or.reduce(alive, axis=(0, 1), out=read)
+    finally:
+        if sum([b.nbytes for b in bufs]) <= _TABLE_LIMIT:
+            _spare[:] = [bufs]  # one set, whichever sweep ends last
 
 
 def per_word_infs(
@@ -197,10 +240,13 @@ def brute_force_opacity(a: Automaton, max_len: int) -> DyadicDistance:
     does better.  When no word up to max_len clashes, every floor is zero.
 
     Cost: the lengths up to the first clashing one, each as `_sweep`
-    gives it, O(k^m * ceil(k^n / 64)) time and k^m * ceil(k^n / 64) * 8
-    bytes at length m; no words are spelled out.  Budgets in `_sweep`'s
-    order; a length's table is checked only when it is reached, so a
-    machine that clashes early is answered whatever its bound.
+    gives it, O(k^m * ceil(k^n / 64)) time and, at length m, an alive
+    table of k^m * ceil(k^n / 64) * 8 bytes next to its parent's, plus a
+    table the size of the mask table.  The buffers pass from sweep to
+    sweep while they total at most `_TABLE_LIMIT` bytes.  No words are
+    spelled out.  Budgets in `_sweep`'s order; a length's table is checked
+    only when it is reached, so a machine that clashes early is answered
+    whatever its bound.
     """
     for m, read in _sweep(a, max_len):
         if not read.all():

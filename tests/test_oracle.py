@@ -1,6 +1,10 @@
 """Brute-force enumeration: distances, per-word floors, opacity sweeps."""
 
+import itertools
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,7 +15,9 @@ from dfao.dyadic import ZERO, pow2inv
 from dfao.errors import DigitOutOfRange, InstanceTooLarge
 from dfao.opacity import analyze_sequence, compute_opacity
 from dfao.oracle import (
+    _TABLE_LIMIT,
     _masks,
+    _spare,
     brute_force_opacity,
     oracle_bound,
     per_word_infs,
@@ -314,3 +320,117 @@ def test_brute_force_agrees_with_analysis_on_randoms():
 @given(small_automata())
 def test_brute_force_agrees_with_analysis_property(a):
     assert brute_force_opacity(a, oracle_bound(a)) == compute_opacity(a).as_dyadic()
+
+
+def test_a_repeated_sweep_takes_no_fresh_memory():
+    """A finished sweep leaves its buffers to the next, so sweeping the
+    transparent residue_machine(2, 8) to its bound 18 again, whose last
+    table is 2**18 rows of 4 uint64 words (8 MiB), allocates next to
+    nothing.  It is swept twice first: a set left by an earlier sweep may
+    grow past the cap here and be dropped, but the second sweep's is kept."""
+    a = residue_machine(2, 8).automaton
+    bound = oracle_bound(a)
+    table = a.k**bound * -(-(a.k ** len(a.states)) // 64) * 8
+    assert table == 8 * 2**20
+    for _ in range(2):
+        assert brute_force_opacity(a, bound) == ZERO
+    tracemalloc.start()
+    try:
+        assert brute_force_opacity(a, bound) == ZERO
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table / 8, peak
+
+
+def test_interleaved_sweeps_match_sweeps_one_after_the_other():
+    """Two live sweeps never share buffers: `per_word_infs` generators over
+    machines of different k and table width, advanced in turn, give the
+    lists they give when run one after the other."""
+    runs = [(residue_machine(2, 6).automaton, 8), (cycle_chain(5, 3).automaton, 6)]
+    assert [-(-(a.k ** len(a.states)) // 64) for a, _ in runs] == [1, 4]
+    alone = [list(per_word_infs(a, max_len)) for a, max_len in runs]
+    together = [[], []]
+    for items in itertools.zip_longest(*(per_word_infs(a, max_len) for a, max_len in runs)):
+        for out, item in zip(together, items):
+            if item is not None:
+                out.append(item)
+    assert together == alone
+
+
+def test_sweeps_after_a_clash_or_a_refusal_are_exact():
+    """A sweep that `brute_force_opacity` leaves at its first clash, and
+    sweeps refused mid-way, give their buffers back in a state the next
+    sweep, of another shape, reads correctly.  The de Bruijn refusal
+    holds more than the cap, so its buffers are dropped; the base-4 one
+    (residue_machine(4, 8), refused at length 7 after a 32 MiB table)
+    keeps them."""
+    after = [
+        residue_machine(3, 3).automaton,
+        random_dfao(random.Random(127), k=2, max_states=7).automaton,
+    ]
+    chain = cycle_chain(8, 2).automaton
+    refused = [(residue_machine(2, 10).automaton, 20, False), (residue_machine(4, 8).automaton, 7, True)]
+
+    def check(a):
+        bound = oracle_bound(a)
+        assert brute_force_opacity(a, bound) == readback_brute_force_opacity(a, bound), a
+        assert list(per_word_infs(a, 5)) == list(readback_per_word_infs(a, 5)), a
+
+    assert brute_force_opacity(chain, oracle_bound(chain)) == pow2inv(8)
+    check(after[0])
+    for a, length, kept in refused:
+        with pytest.raises(InstanceTooLarge, match=rf"^length {length} needs "):
+            brute_force_opacity(a, oracle_bound(a))
+        assert len(_spare) == kept
+        for b in after:
+            check(b)
+
+
+def test_sweep_buffers_kept_stay_within_the_cap():
+    """The transparent 9-state machine whose length-20 table fills the
+    cap leaves buffers over it, which are not kept; a small sweep's are."""
+    rows = {f"s{s}": (f"s{(s + 1) % 5}", f"s{5 + s % 4}") for s in range(9)}
+    a = make_dfao(2, rows, "s0").automaton
+    small = build("golay_shapiro").automaton
+    assert brute_force_opacity(small, oracle_bound(small)) == ZERO
+    assert len(_spare) == 1
+    assert brute_force_opacity(a, oracle_bound(a)) == ZERO
+    assert sum(b.nbytes for bufs in _spare for b in bufs) <= _TABLE_LIMIT
+
+
+def test_concurrent_sweeps_match_sequential_ones():
+    """Four threads sweep seeded small machines at once, with a short
+    switch interval; each sweep takes the spare set of buffers or builds
+    its own, so every answer equals the one computed alone."""
+    rng = random.Random(137)
+    work = [
+        [random_dfao(rng, k=k, max_states=6).automaton for k in (2, 3, 4, 2, 3)]
+        + [residue_machine(*(2, 6) if i % 2 else (3, 3)).automaton]
+        for i in range(4)
+    ]
+
+    def answers(machines):
+        return [(brute_force_opacity(a, oracle_bound(a)), list(per_word_infs(a, 4)))
+                for a in machines]
+
+    expected = [answers(machines) for machines in work]
+    got = [None] * len(work)
+    start = threading.Barrier(len(work), timeout=60)
+
+    def run(i):
+        start.wait()
+        got[i] = [answers(work[i]) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[e] * 3 for e in expected]
