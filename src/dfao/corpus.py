@@ -284,7 +284,8 @@ def evaluate_entry(ent: CorpusEntry) -> RowResult:
 
     Cost: one `analyze_sequence` of the entry's machine; one oracle sweep
     of its intrinsic machine, through the lengths up to the first clashing
-    one or up to `oracle_bound` when none clashes, each length costing what
+    one or up to 2n for n states when none clashes (two short of
+    `oracle_bound`, which is recorded), each length costing what
     `brute_force_opacity` says; and, when the entry holds an evaluator,
     `SEQUENCE_TERMS` terms generated by the machine and as many by the
     evaluator, O(1) each on both sides.

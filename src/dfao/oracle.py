@@ -29,6 +29,8 @@ h(w), and every other relabeling keeps the first miss it had on w.
 `per_word_infs` rebuilds each floor with that recurrence.
 `brute_force_opacity` needs no floor at all: it stops at the first length
 m where some word is not read back, and the answer there is 2**-(m - 1).
+It sweeps at most 2n lengths for n states, by which every machine that
+clashes has clashed; that bound depends on n alone.
 
 This is still a plain enumeration.  Every word of every length is
 extended and every (word, relabeling) cell is decided by its own bit; no
@@ -60,11 +62,13 @@ _spare: list[list[np.ndarray]] = []
 
 
 def oracle_bound(a: Automaton) -> int:
-    """Word length by which the brute-force maximum has stabilized.
+    """Word length by which the brute-force maximum has stabilized: the
+    `L` that `dfao analyze --oracle` prints and that the corpus records.
 
-    A shortest clashing word is an entry path (at most one edge per state)
-    followed by a loop (at most one more pass), so 2 * states + 2 edges
-    always suffice.
+    It is 2 * states + 2, two more than needed: a machine that clashes at
+    all clashes by length 2 * states (see `brute_force_opacity`), which
+    stops its sweep there whatever the bound it is given.  The printed
+    value is kept so that every report that shows it keeps its bytes.
     """
     return 2 * len(a.states) + 2
 
@@ -239,16 +243,30 @@ def brute_force_opacity(a: Automaton, max_len: int) -> DyadicDistance:
     reads its prefix back misses it at position m - 1, and no relabeling
     does better.  When no word up to max_len clashes, every floor is zero.
 
-    Cost: the lengths up to the first clashing one, each as `_sweep`
-    gives it, O(k^m * ceil(k^n / 64)) time and, at length m, an alive
-    table of k^m * ceil(k^n / 64) * 8 bytes next to its parent's, plus a
-    table the size of the mask table.  The buffers pass from sweep to
-    sweep while they total at most `_TABLE_LIMIT` bytes.  No words are
-    spelled out.  Budgets in `_sweep`'s order; a length's table is checked
-    only when it is reached, so a machine that clashes early is answered
-    whatever its bound.
+    The scan also stops at length 2n for n states, since a machine that
+    clashes at all clashes by then, so the answer for every max_len of
+    2n or more is the answer at 2n.  A relabeling reads a word back when
+    each state the word enters shows the digit it was entered on, so a
+    word clashes exactly when it enters some state s on a digit x and
+    later on a digit y != x.  Then s has a digit-x in-neighbour reachable
+    from the initial state and a digit-y in-neighbour reachable from s.
+    A shortest path to the first takes at most n - 1 edges, and the edge
+    x then enters s; a shortest path from s to the second takes at most
+    n - 1 more, and the edge y enters s again.  That word clashes and has
+    at most 2n digits.  The stop is tight at n = 1: a one-state machine
+    first clashes at length 2.
+
+    Cost: the lengths up to the first clashing one or up to
+    min(max_len, 2n), each as `_sweep` gives it, O(k^m * ceil(k^n / 64))
+    time and, at length m, an alive table of k^m * ceil(k^n / 64) * 8
+    bytes next to its parent's, plus a table the size of the mask table.
+    The buffers pass from sweep to sweep while they total at most
+    `_TABLE_LIMIT` bytes.  No words are spelled out.  Budgets in
+    `_sweep`'s order; a length's table is checked only when it is
+    reached, so a machine that clashes early, or is transparent and
+    small enough at 2n, is answered whatever its bound.
     """
-    for m, read in _sweep(a, max_len):
+    for m, read in _sweep(a, min(max_len, 2 * len(a.states))):
         if not read.all():
             return pow2inv(m - 1)
     return ZERO

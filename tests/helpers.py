@@ -273,6 +273,16 @@ def tree_cycle(h: int) -> Automaton:
     return Automaton(2, tuple(f"q{s}" for s in range(len(rows))), 0, rows)
 
 
+def late_clash(n: int) -> Automaton:
+    """A binary machine of n >= 3 states whose shortest clash, the word
+    1^(n-2) 0 1^(n-1), has 2n - 2 digits: states 0 .. n-3 step to the next
+    state on 1 and back to 0 on 0, state n-2 steps to n-1 on both digits,
+    and state n-1 steps to 0 on 0 and to 1 on 1.  Only state n-1 is
+    entered on two digits, both times from state n-2."""
+    rows = tuple((0, s + 1) for s in range(n - 2)) + ((n - 1, n - 1), (0, 1))
+    return Automaton(2, tuple(f"q{s}" for s in range(n)), 0, rows)
+
+
 def residue_machine(k: int, p: int) -> Dfao:
     """n mod p read in base k: delta(r, d) = (r k + d) mod p, output r at
     state r.  State r is entered only on digit r mod k, so it is
@@ -350,6 +360,34 @@ def small_dfaos(draw):
     a = draw(small_automata())
     n = len(a.states)
     return Dfao(a, tuple(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))))
+
+
+def every_automaton(k: int, n: int):
+    """Every automaton of n states over k digits with initial state 0: all
+    n**(n k) transition tables, unreachable states included."""
+    names = tuple(f"q{s}" for s in range(n))
+    for flat in itertools.product(range(n), repeat=n * k):
+        yield Automaton(k, names, 0, tuple(flat[s * k : (s + 1) * k] for s in range(n)))
+
+
+def breadth_first_automata(k: int, n: int):
+    """Every automaton of n states over k digits whose states are all
+    reachable, once up to renaming: its states numbered in breadth-first
+    order from state 0, digits in increasing order.  Rows are filled in
+    order, each target at most one past the largest state seen so far."""
+    names = tuple(f"q{s}" for s in range(n))
+
+    def fill(flat: list[int], seen: int):
+        if len(flat) == n * k:
+            if seen == n:
+                yield Automaton(k, names, 0, tuple(tuple(flat[s * k : (s + 1) * k]) for s in range(n)))
+        elif len(flat) // k < seen:  # a row only for a state already reached
+            for t in range(min(seen + 1, n)):
+                flat.append(t)
+                yield from fill(flat, seen + (t == seen))
+                flat.pop()
+
+    yield from fill([], 1)
 
 
 def first_appearance(keys) -> list[int]:

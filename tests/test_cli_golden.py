@@ -22,7 +22,7 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS = sorted(p.name for p in CORPUS_DIR.glob("*.aut"))
 
 GOLDEN = {
-    "analyze": "0a721871ac36574de511ee944289befa8dff237ddfe1146a4dc7284044d207f8",
+    "analyze": "8114cc5ee8dfe3815498aba0bb918a7b105d64dcbf85608df742847ab2934c10",
     "corpus": "39841a1088ed09a92c30343917aa5093fb29630308e22d27443ae2b335f38aa7",
     "minimize": "52bc935d8e21b8c9060873f0d50ebc5bd826b99aefb65896fd6c113d4ca4d37a",
     "generate": "fdc18e4bac8b0a94142c992032f2a0a0f99fe2be265d638139b0b61c59fcdde2",

@@ -13,7 +13,7 @@ from dfao.automaton import Automaton, make_dfao
 from dfao.corpus import ENTRIES, build
 from dfao.dyadic import ZERO, pow2inv
 from dfao.errors import DigitOutOfRange, InstanceTooLarge
-from dfao.opacity import analyze_sequence, compute_opacity
+from dfao.opacity import analyze_sequence, compute_opacity, shortest_inhomogeneous_path
 from dfao.oracle import (
     _TABLE_LIMIT,
     _masks,
@@ -23,7 +23,10 @@ from dfao.oracle import (
     per_word_infs,
 )
 from helpers import (
+    breadth_first_automata,
     cycle_chain,
+    every_automaton,
+    late_clash,
     prefix_distance,
     pure_python_inf,
     random_dfao,
@@ -32,6 +35,7 @@ from helpers import (
     readout,
     residue_machine,
     small_automata,
+    word_search_shortest_clash,
 )
 
 
@@ -160,6 +164,59 @@ def test_sweep_stops_at_first_clash_whatever_the_bound():
     assert next(per_word_infs(a, 24)) == ((0,), ZERO)
 
 
+def test_transparent_sweep_stops_at_2n_whatever_the_bound():
+    """A machine that clashes at all clashes by length 2n, so the sweep of
+    transparent Golay-Shapiro (4 states) stops at length 8 whatever the
+    bound; its length-24 table would pass the cap."""
+    a = build("golay_shapiro").automaton
+    assert brute_force_opacity(a, 10**6) == ZERO
+
+
+def test_sweep_stopped_at_2n_equals_every_floor_on_small_machines():
+    """Census of the 2n stop: on every automaton with initial state 0,
+    binary of up to 3 states and ternary of up to 2 (811 machines), the
+    opacity equals the largest floor over every word up to the bound
+    2n + 2, which `per_word_infs` sweeps in full.  A stop at 2n - 1
+    already fails on the one-state machines, which first clash at 2."""
+    machines = [a for k, n_max in ((2, 3), (3, 2))
+                for n in range(1, n_max + 1) for a in every_automaton(k, n)]
+    assert len(machines) == 811
+    for a in machines:
+        bound = oracle_bound(a)
+        floors = [value for _word, value in per_word_infs(a, bound)]
+        assert brute_force_opacity(a, bound) == max(floors), a
+
+
+# The longest shortest clash over every automaton of n = 1, 2, ... states
+# (0 when none clashes).  2n is reached at n = 1 only, and from n = 3 on
+# `late_clash` reaches 2n - 2.
+LONGEST_SHORTEST_CLASH = {2: (2, 3, 4, 6), 3: (2, 3, 4)}
+
+
+def test_longest_shortest_clash_of_small_machines():
+    """The reachable part of an n-state machine is, up to renaming, one
+    of `breadth_first_automata` with at most n states, and it holds every
+    clash, so the maximum over those is the maximum over every machine."""
+    for k, expected in LONGEST_SHORTEST_CLASH.items():
+        longest, got = 0, []
+        for n in range(1, len(expected) + 1):
+            for a in breadth_first_automata(k, n):
+                witness = shortest_inhomogeneous_path(a)
+                if witness is not None:
+                    longest = max(longest, len(witness.word))
+            got.append(longest)
+        assert tuple(got) == expected, k
+
+
+def test_late_clash_first_clashes_at_2n_minus_2():
+    for n in range(3, 40):
+        word = (1,) * (n - 2) + (0,) + (1,) * (n - 1)
+        assert word_search_shortest_clash(late_clash(n)) == (word, n - 1, n - 2, 2 * n - 3), n
+    for n in range(4, 8):
+        a = late_clash(n)
+        assert brute_force_opacity(a, oracle_bound(a)) == pow2inv(2 * n - 3), n
+
+
 def test_relabeling_refusal_builds_no_table():
     """The relabeling budget is checked before the per-(k, n) table is
     built, so a refused instance neither builds nor caches one."""
@@ -190,8 +247,9 @@ def test_table_budget_guard():
     # first clash at length 14, in a 16 MiB table of 2**14 words x 2**13
     chain = cycle_chain(13, 2).automaton
     assert brute_force_opacity(chain, oracle_bound(chain)) == pow2inv(13)
-    # transparent, 2**9 relabelings: the length-20 table of 2**20 rows of
-    # 8 uint64 words fills the cap exactly, so the sweep reaches bound 20
+    # transparent, 2**9 relabelings: the sweep stops at 2n = 18, short of
+    # bound 20, whose table of 2**20 rows of 8 uint64 words would fill the
+    # cap exactly; the de Bruijn line at length 19 above fills it instead
     rows = {f"s{s}": (f"s{(s + 1) % 5}", f"s{5 + s % 4}") for s in range(9)}
     a = make_dfao(2, rows, "s0").automaton
     assert oracle_bound(a) == 20 and compute_opacity(a).as_dyadic() == ZERO
@@ -324,14 +382,15 @@ def test_brute_force_agrees_with_analysis_property(a):
 
 def test_a_repeated_sweep_takes_no_fresh_memory():
     """A finished sweep leaves its buffers to the next, so sweeping the
-    transparent residue_machine(2, 8) to its bound 18 again, whose last
-    table is 2**18 rows of 4 uint64 words (8 MiB), allocates next to
-    nothing.  It is swept twice first: a set left by an earlier sweep may
-    grow past the cap here and be dropped, but the second sweep's is kept."""
+    transparent residue_machine(2, 8) again, to 2n = 16 under its bound 18,
+    whose last table is 2**16 rows of 4 uint64 words (2 MiB), allocates
+    next to nothing.  It is swept twice first: a set left by an earlier
+    sweep may grow past the cap here and be dropped, but the second
+    sweep's is kept."""
     a = residue_machine(2, 8).automaton
     bound = oracle_bound(a)
-    table = a.k**bound * -(-(a.k ** len(a.states)) // 64) * 8
-    assert table == 8 * 2**20
+    table = a.k ** (2 * len(a.states)) * -(-(a.k ** len(a.states)) // 64) * 8
+    assert table == 2 * 2**20
     for _ in range(2):
         assert brute_force_opacity(a, bound) == ZERO
     tracemalloc.start()
@@ -388,10 +447,11 @@ def test_sweeps_after_a_clash_or_a_refusal_are_exact():
 
 
 def test_sweep_buffers_kept_stay_within_the_cap():
-    """The transparent 9-state machine whose length-20 table fills the
-    cap leaves buffers over it, which are not kept; a small sweep's are."""
-    rows = {f"s{s}": (f"s{(s + 1) % 5}", f"s{5 + s % 4}") for s in range(9)}
-    a = make_dfao(2, rows, "s0").automaton
+    """The transparent residue_machine(3, 6), whose sweep stops at length
+    12 with a table of 3**12 rows of 12 uint64 words (51 MB) after one of
+    17 MB, leaves buffers over the cap, which are not kept; a small
+    sweep's are."""
+    a = residue_machine(3, 6).automaton
     small = build("golay_shapiro").automaton
     assert brute_force_opacity(small, oracle_bound(small)) == ZERO
     assert len(_spare) == 1
