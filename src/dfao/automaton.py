@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Integral
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .errors import (
     BadRadix,
@@ -263,12 +263,13 @@ class Dfao:
 @dataclass(frozen=True)
 class LineMap:
     """Source lines of a raw description, so validation errors can name
-    them: the k directive's line, then one line per output pair and per
-    edge, in the order they appear in the description."""
+    them: the k directive's line, then the line of each output pair and of
+    each edge, by its position in the description.  `outputs` and `edges`
+    need only be indexable, so a parser may find a line when asked."""
 
     k: int
-    outputs: tuple[int, ...]
-    edges: tuple[int, ...]
+    outputs: Sequence[int]
+    edges: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -297,45 +298,110 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
     the description carries a line map, errors about the radix, outputs
     and edges start with the offending line and store it as `.line`.
     Untrusted input is checked here, once, in O(nk); machines built from
-    it are not checked again.
+    it are not checked again.  Besides the description it holds a name
+    index and one list cell per edge, so `validate(parse_raw(text))` on a
+    random binary file peaks at about 14 traced bytes per byte of text.
     """
     # A LineMap is never false, so `lines and lines.k` is None without one.
     lines = raw.lines
     _check_radix(raw.k, lines and lines.k)
     if not raw.states:
         raise NoStates("a machine needs at least one state")
-    index: dict[str, int] = {}
-    for name in raw.states:
-        try:
-            if name in index:
-                raise DuplicateState(f"state {name!r} declared twice")
-        except TypeError:  # unhashable
-            raise BadToken(f"state name {name!r} must be a string") from None
-        index[name] = len(index)
+    states = tuple(raw.states)
+    n = len(states)
+    try:
+        index = dict(zip(states, range(n)))
+    except TypeError:  # an unhashable name; the loop below names it
+        index = {}
+    if len(index) < n:
+        index = {}
+        for name in states:
+            try:
+                if name in index:
+                    raise DuplicateState(f"state {name!r} declared twice")
+            except TypeError:  # unhashable
+                raise BadToken(f"state name {name!r} must be a string") from None
+            index[name] = len(index)
     # Below, a lookup of an unhashable name raises TypeError: it is not
     # declared either.
     try:
         initial = index[raw.initial]
     except (KeyError, TypeError):
         raise UnknownState(f"initial state {raw.initial!r} is not declared") from None
-    for i, (name, _token) in enumerate(raw.outputs or ()):
-        try:
-            index[name]
-        except (KeyError, TypeError):
-            raise UnknownState(
-                f"output for undeclared state {name!r}", lines and lines.outputs[i]
-            ) from None
-
-    # The radix comes from outside, so nothing is sized by it until the
-    # edges, keyed state * k + digit, are known to cover every pair.
-    k = raw.k
-    table: dict[int, int] = {}
-    n = len(raw.states)
     try:
-        for i, (src, digit, dst) in enumerate(raw.edges):
+        by_state = dict(raw.outputs or ())
+        undeclared = not by_state.keys() <= index.keys()
+    except (TypeError, ValueError):  # the loop below tells what is wrong
+        undeclared = True
+    if undeclared:
+        for i, (name, _token) in enumerate(raw.outputs):
+            try:
+                index[name]
+            except (KeyError, TypeError):
+                raise UnknownState(
+                    f"output for undeclared state {name!r}", lines and lines.outputs[i]
+                ) from None
+
+    # A complete table has one edge per state and digit, so the table is
+    # sized by the edges, never by the radix alone.  Each edge fills cell
+    # state * k + digit; a digit out of range stops the loop, and list
+    # indexing refuses a key that is no integer, such as one of a digit
+    # 1.0.  With as many edges as cells, a cell left empty means that
+    # some cell was filled twice.
+    k, edges = raw.k, raw.edges
+    complete = False
+    if len(edges) == n * k:
+        table = [None] * len(edges)
+        try:
+            for src, digit, dst in edges:
+                if not 0 <= digit < k:
+                    break
+                table[index[src] * k + digit] = index[dst]
+            else:
+                complete = None not in table
+        except (KeyError, TypeError, ValueError):  # the scan below tells what is wrong
+            pass
+    if not complete:
+        _raise_edge_fault(raw, index)
+    rows = tuple(zip(*[iter(table)] * k))
+
+    if raw.outputs is None:
+        outputs = states
+    else:
+        if len(by_state) < len(raw.outputs):
+            seen = set()
+            for name, _token in raw.outputs:
+                if name in seen:
+                    raise DuplicateState(f"output for state {name!r} given twice")
+                seen.add(name)
+        if len(by_state) < n:  # every named state is declared, checked above
+            missing = [name for name in states if name not in by_state]
+            raise MissingOutput(
+                "outputs must cover every state or be omitted entirely; "
+                f"missing: {', '.join(map(str, missing))}"
+            )
+        outputs = tuple(map(by_state.__getitem__, states))
+
+    dfao, pruned = _prune(k, states, initial, rows, outputs)
+    # Only tokens that survive pruning must fit the text format.
+    _check_tokens("state name", dfao.states)
+    _check_tokens("output token", dfao.output)
+    return dfao, pruned
+
+
+def _raise_edge_fault(raw: RawDfao, index: dict[str, int]) -> NoReturn:
+    """Raise the first fault of raw's edges, taken in order: an undeclared
+    name, a digit out of range or a pair defined twice, then a pair no edge
+    defines, then a digit that is no integer.  Only for edges that do not
+    fill a table.  O(len(edges)): the first pair missing comes at most
+    len(edges) pairs in."""
+    lines, k, edges = raw.lines, raw.k, raw.edges
+    keys: set[int] = set()
+    try:
+        for i, (src, digit, dst) in enumerate(edges):
             try:
                 s = index[src]
-                t = index[dst]
+                index[dst]
             except (KeyError, TypeError):
                 end, name = ("source", src) if src not in raw.states else ("target", dst)
                 raise UnknownState(
@@ -345,58 +411,25 @@ def validate(raw: RawDfao) -> tuple[Dfao, tuple[str, ...]]:
                 raise DigitOutOfRange(
                     f"digit {digit} out of range for k={k}", lines and lines.edges[i]
                 )
-            key = s * k + digit
-            if key in table:
+            key = s * k + digit  # a digit 1.0 keys like 1
+            if key in keys:
                 if lines is None:
                     raise DuplicateTransition(f"edge {src} {digit} ... defined twice")
-                j = next(j for j, e in enumerate(raw.edges) if e[:2] == (src, digit))
+                j = next(j for j, e in enumerate(edges) if e[:2] == (src, digit))
                 raise DuplicateTransition(
                     f"edge {src} {digit} ... already defined on line {lines.edges[j]}",
                     lines.edges[i],
                 )
-            table[key] = t
-        if len(table) < n * k:
-            gap = next(key for key in range(n * k) if key not in table)
-            s, d = divmod(gap, k)
+            keys.add(key)
+        if len(keys) < len(index) * k:
+            s, d = divmod(next(key for key in range(len(index) * k) if key not in keys), k)
             raise MissingTransition(f"no edge for state {raw.states[s]!r} on digit {d}")
-        # A key is no integer exactly when its digit is none, and then neither
-        # is the sum: a whole 1.0, Decimal(1) or Fraction(1) keys like 1.
-        integral = isinstance(sum(table), Integral)
-    except TypeError:  # '0' fails `<=`; a Decimal key beside a float or Fraction fails the sum
-        integral = False
-    if not integral:
-        i = next(i for i, e in enumerate(raw.edges) if not isinstance(e[1], Integral))
-        raise DigitOutOfRange(
-            f"digit {raw.edges[i][1]!r} out of range for k={k}", lines and lines.edges[i]
-        )
-    # The keys are distinct integers below n * k, and there are at least
-    # n * k of them, so they are range(len(table)).
-    rows = tuple(zip(*[map(table.__getitem__, range(len(table)))] * k))
-
-    states = tuple(raw.states)
-    if raw.outputs is None:
-        outputs = states
-    else:
-        by_state = dict(raw.outputs)
-        if len(by_state) < len(raw.outputs):
-            seen = set()
-            for name, _token in raw.outputs:
-                if name in seen:
-                    raise DuplicateState(f"output for state {name!r} given twice")
-                seen.add(name)
-        if len(by_state) < n:  # every named state is declared, checked above
-            missing = [name for name in raw.states if name not in by_state]
-            raise MissingOutput(
-                "outputs must cover every state or be omitted entirely; "
-                f"missing: {', '.join(map(str, missing))}"
-            )
-        outputs = tuple(map(by_state.__getitem__, raw.states))
-
-    dfao, pruned = _prune(k, states, initial, rows, outputs)
-    # Only tokens that survive pruning must fit the text format.
-    _check_tokens("state name", dfao.states)
-    _check_tokens("output token", dfao.output)
-    return dfao, pruned
+    except TypeError:  # '0' fails `<=`
+        pass
+    i = next(i for i, e in enumerate(edges) if not isinstance(e[1], Integral))
+    raise DigitOutOfRange(
+        f"digit {edges[i][1]!r} out of range for k={k}", lines and lines.edges[i]
+    )
 
 
 def _build(k: int, states: Names, initial: int, transition: Rows, output: Names) -> Dfao:

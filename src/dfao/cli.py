@@ -23,8 +23,8 @@ from .opacity import analyze_sequence, shortest_inhomogeneous_path
 from .oracle import brute_force_opacity, oracle_bound
 
 # Largest .aut file read, in bytes.  `analyze` on a random binary file just
-# under it peaks at about 22 resident bytes per byte of text, so it still
-# answers under a 600 MB address-space cap.
+# under it (245,585 states) peaks at about 16 resident bytes per byte of
+# text, 271 MB, so it still answers under a 600 MB address-space cap.
 AUT_SIZE_LIMIT = 16 * 2**20
 # Most terms `generate` prints.  At this count it peaks at about 169 MB
 # resident on one-character outputs, under a 600 MB address-space cap.

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 from collections import deque
 from pathlib import Path
 
@@ -204,12 +205,20 @@ _JUNK_TOKENS = (
 _JUNK_LINES = (
     "foo bar", "edge", "k", "k 1", "states", "initial", "output A", "# note", "", "   ", "edge A 0",
 )
+# Whitespace that `str.split` splits at, and line ends that `str.splitlines`
+# ends a line at, besides the space and LF the text is written with.
+_SEPARATORS = (
+    "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u1680", "\u2000", "\u2028", "\u2029", "\u3000", "\r", "\r\n",
+)
 
 
 def malformed_aut_text(rng: random.Random, text: str) -> str:
     """Damage .aut text by one to three random edits: drop, repeat, swap or
     add lines, drop, add or replace tokens, insert a '#', or cut the text
-    short.  The result may or may not still be a valid description."""
+    short.  Now and then some spaces and newlines are then swapped for
+    other whitespace or line ends.  The result may or may not still be a
+    valid description."""
     lines = text.splitlines()
     pool = sorted(set(text.split())) + list(_JUNK_TOKENS)
     for _ in range(rng.randint(1, 3)):
@@ -239,6 +248,11 @@ def malformed_aut_text(rng: random.Random, text: str) -> str:
                 tokens = [line[:cut] + "#" + line[cut:]]
             lines[i] = " ".join(tokens)
     out = "\n".join(lines) + "\n"
+    if rng.random() < 0.3:
+        out = "".join(
+            rng.choice(_SEPARATORS) if piece in (" ", "\n") and rng.random() < 0.2 else piece
+            for piece in re.split("([ \n])", out)
+        )
     return out[: rng.randrange(len(out) + 1)] if rng.random() < 0.1 else out
 
 
